@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test verify-checkpoints verify-mlck verify-localized verify-policy verify-workflow verify-reconfig verify-reconfig-deep bench bench-baseline bench-stream bench-obs bench-localized bench-workflow bench-fleet report trace obs-report forensics-demo examples all clean
+.PHONY: install test perfbench-test verify-checkpoints verify-mlck verify-localized verify-policy verify-workflow verify-reconfig verify-reconfig-deep bench bench-baseline bench-stream bench-obs bench-localized bench-workflow bench-fleet report trace obs-report forensics-demo examples all clean
 
 # fixed seed so the gate is fully deterministic; DEEP_SEED rotates daily
 VERIFY_SEED ?= 20260806
@@ -10,7 +10,11 @@ install:
 	$(PYTHON) setup.py develop
 
 test:
-	$(PYTHON) -m pytest tests/
+	PYTHONPATH=src $(PYTHON) -m pytest tests/
+
+# the benchmark's own toy-size tests (their conftest puts src on the path)
+perfbench-test:
+	python3 -m pytest perfbench/tests -q
 
 verify-checkpoints:
 	PYTHONPATH=src $(PYTHON) -m pytest -m "crash_consistency or mlck or flight or localized or policy or workflow" tests/

@@ -25,7 +25,57 @@ from repro.drms.context import CheckpointStatus, DRMSContext, TaskArrayView
 from repro.drms.soq import SOQSpec
 from repro.errors import ReconfigurationError
 
-__all__ = ["NPBProxy"]
+__all__ = ["NPBProxy", "clamped_jacobi"]
+
+
+def clamped_jacobi(view: TaskArrayView, weight: float, axes: Sequence[int]) -> None:
+    """One clamped-boundary Jacobi relaxation of ``view``'s field along
+    ``axes``: each owned element becomes ``(1 - weight) * itself +
+    weight / (2 * len(axes))`` times the sum of its ±1 neighbours on
+    those axes, a neighbour beyond the global array being clamped to the
+    boundary element itself.  Reads the mapped section (which must hold
+    fresh shadows), writes the assigned section; element results do not
+    depend on the decomposition.
+
+    Assumes block geometry (contiguous assigned and mapped ranges), so
+    the centre and every shifted neighbour block are basic-slice views
+    of the local array.  A shifted block that crosses the global
+    boundary is added in two parts — the planes whose neighbour lies
+    inside the array, then the clamped boundary plane — so every
+    element receives the same additions in the same order as an
+    element-wise gather of its neighbours would give it."""
+    a, m = view.assigned_slice, view.mapped_slice
+    if a.is_empty:
+        return
+    loc = view.local
+    extent = view.array.shape
+    center = tuple(
+        slice(ar.first - mr.first, ar.last - mr.first + 1) for ar, mr in zip(a, m)
+    )
+    acc = np.zeros(a.shape, dtype=loc.dtype)
+    for ax in axes:
+        lo, n = center[ax].start, a[ax].size
+        for delta in (-1, 1):
+            k0 = 1 if delta < 0 and a[ax].first == 0 else 0
+            k1 = n - 1 if delta > 0 and a[ax].last == extent[ax] - 1 else n
+            # (planes p0:p1, off): block plane p reads local plane off + p
+            parts = [(k0, k1, lo + delta)]
+            if k0:
+                parts.append((0, 1, lo))
+            if k1 < n:
+                parts.append((n - 1, n, lo))
+            for p0, p1, off in parts:
+                dst = [slice(None)] * acc.ndim
+                dst[ax] = slice(p0, p1)
+                src = list(center)
+                src[ax] = slice(off + p0, off + p1)
+                plane = acc[tuple(dst)]
+                plane += loc[tuple(src)]
+    # (w / k) * acc + (1 - w) * centre: IEEE products and sums commute,
+    # so this is bitwise the textbook (1 - w) * centre + (w / k) * acc
+    acc *= weight / (2 * len(axes))
+    acc += (1.0 - weight) * loc[center]
+    view.set_assigned(acc)
 
 
 class NPBProxy:
@@ -253,31 +303,8 @@ class NPBProxy:
         self, ctx: DRMSContext, view: TaskArrayView, weight: float, axes: Sequence[int]
     ) -> None:
         """One clamped-boundary Jacobi relaxation of the view's field
-        along the given spatial axes (1..3).  Reads the mapped section
-        (which must hold fresh shadows), writes the assigned section;
-        element results do not depend on the decomposition."""
-        arr = view.array
-        dist = arr.distribution
-        t = ctx.rank
-        a, m = dist.assigned(t), dist.mapped(t)
-        if a.is_empty:
-            return
-        loc = view.local
-        nmax = self.n
-        base_pos = []
-        for ax in range(4):
-            mr = m[ax]
-            base_pos.append(a[ax].indices() - mr.first)
-        center = loc[np.ix_(*base_pos)]
-        acc = np.zeros_like(center)
-        for ax in axes:
-            for delta in (-1, 1):
-                pos = list(base_pos)
-                shifted = np.clip(a[ax].indices() + delta, 0, nmax - 1)
-                pos[ax] = shifted - m[ax].first
-                acc += loc[np.ix_(*pos)]
-        k = 2 * len(axes)
-        view.set_assigned((1.0 - weight) * center + (weight / k) * acc)
+        along the given spatial axes (1..3); see :func:`clamped_jacobi`."""
+        clamped_jacobi(view, weight, axes)
 
     # -- application factory -----------------------------------------------------
 

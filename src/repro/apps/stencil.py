@@ -13,6 +13,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.apps.base import clamped_jacobi
 from repro.arrays.distributions import Block, Distribution
 from repro.drms.app import DRMSApplication
 from repro.drms.context import CheckpointStatus, DRMSContext
@@ -75,23 +76,7 @@ class StencilApp:
         return float(g.assigned.sum())
 
     def _relax(self, ctx: DRMSContext, view) -> None:
-        arr = view.array
-        dist = arr.distribution
-        a, m = dist.assigned(ctx.rank), dist.mapped(ctx.rank)
-        if a.is_empty:
-            return
-        loc = view.local
-        base = [a[ax].indices() - m[ax].first for ax in range(len(self.shape))]
-        center = loc[np.ix_(*base)]
-        acc = np.zeros_like(center)
-        for ax in range(len(self.shape)):
-            for delta in (-1, 1):
-                pos = list(base)
-                shifted = np.clip(a[ax].indices() + delta, 0, self.shape[ax] - 1)
-                pos[ax] = shifted - m[ax].first
-                acc += loc[np.ix_(*pos)]
-        k = 2 * len(self.shape)
-        view.set_assigned((1 - self.weight) * center + self.weight / k * acc)
+        clamped_jacobi(view, self.weight, range(len(self.shape)))
 
     def build_application(self, machine=None, pfs=None, **options) -> DRMSApplication:
         """A DRMSApplication wrapping this stencil program."""

@@ -98,10 +98,15 @@ def schedule_bytes(schedule: List[Transfer], itemsize: int, remote_only: bool = 
 def apply_schedule(
     dst: DistributedArray, src: DistributedArray, schedule: List[Transfer]
 ) -> None:
-    """Execute a prebuilt schedule, moving real data between locals."""
+    """Execute a prebuilt schedule, moving real data between locals.
+
+    Each section is copied straight from the source task's local into
+    the destination task's local; for regular sections both sides are
+    basic-slice views, so no temporary is made."""
     for tr in schedule:
-        values = src.section_from_task(tr.src_task, tr.section)
-        dst.section_to_task(tr.dst_task, tr.section, values)
+        dst.local(tr.dst_task)[dst._section_index(tr.dst_task, tr.section)] = (
+            src.local(tr.src_task)[src._section_index(tr.src_task, tr.section)]
+        )
 
 
 def array_assign(

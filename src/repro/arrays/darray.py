@@ -123,41 +123,41 @@ class DistributedArray:
         return arr.reshape(-1)
 
     def assigned_view(self, task: int) -> np.ndarray:
-        """View of the task's *assigned* (owned) elements within its
-        local array."""
+        """A copy of the task's *assigned* (owned) elements, shaped as
+        its assigned section.  Writing to the result does not touch the
+        local array; use :meth:`set_assigned` for that."""
         self._need_data()
-        d = self.distribution
-        idx = d.assigned(task).local_index_within(d.mapped(task))
-        return self._locals[task][idx]
+        return self._locals[task][self._assigned_index(task)].copy()
 
     def set_assigned(self, task: int, values: np.ndarray) -> None:
         """Write the task's assigned elements (owner write)."""
         self._need_data()
-        d = self.distribution
-        idx = d.assigned(task).local_index_within(d.mapped(task))
-        self._locals[task][idx] = values
+        self._locals[task][self._assigned_index(task)] = values
 
     def section_from_task(self, task: int, section: Slice) -> np.ndarray:
         """Copy ``section`` (a subset of the task's mapped slice) out of
         the task's local array."""
         self._need_data()
-        m = self.distribution.mapped(task)
-        if not section.issubset(m):
-            raise ArrayError(
-                f"section {section!r} not within mapped slice of task {task}"
-            )
-        return np.ascontiguousarray(self._locals[task][section.local_index_within(m)])
+        return self._locals[task][self._section_index(task, section)].copy()
 
     def section_to_task(self, task: int, section: Slice, values: np.ndarray) -> None:
         """Write ``section`` (a subset of the task's mapped slice) into
         the task's local array."""
         self._need_data()
+        idx = self._section_index(task, section)
+        self._locals[task][idx] = values.reshape(section.shape)
+
+    def _assigned_index(self, task: int) -> tuple:
+        d = self.distribution
+        return d.assigned(task).local_index_within(d.mapped(task))
+
+    def _section_index(self, task: int, section: Slice) -> tuple:
         m = self.distribution.mapped(task)
         if not section.issubset(m):
             raise ArrayError(
                 f"section {section!r} not within mapped slice of task {task}"
             )
-        self._locals[task][section.local_index_within(m)] = values.reshape(section.shape)
+        return section.local_index_within(m)
 
     # -- global access (drivers and tests) -----------------------------------
 
@@ -171,7 +171,7 @@ class DistributedArray:
             )
         for t in range(self.ntasks):
             m = self.distribution.mapped(t)
-            self._locals[t][...] = values[m.np_index()].reshape(m.shape)
+            self._locals[t][...] = values[m.np_index()]
 
     def to_global(self, fill=0) -> np.ndarray:
         """Gather the defined (assigned) elements into a global array.
@@ -182,7 +182,7 @@ class DistributedArray:
             a = self.distribution.assigned(t)
             if a.is_empty:
                 continue
-            out[a.np_index()] = self.assigned_view(t).reshape(a.shape)
+            out[a.np_index()] = self._locals[t][self._assigned_index(t)]
         return out
 
     def defined_mask(self) -> np.ndarray:
@@ -197,14 +197,17 @@ class DistributedArray:
     def update_shadows(self) -> int:
         """Refresh every mapped copy from its owner (halo exchange).
         Returns the number of elements copied between distinct tasks —
-        the communication volume of one shadow update."""
+        the communication volume of one shadow update.  The schedule's
+        owner self-transfers (a task's assigned block onto itself) are
+        no-ops and are skipped."""
         self._need_data()
         from repro.arrays.assignment import apply_schedule
         from repro.plancache.plans import transfer_schedule
 
         sched = transfer_schedule(self.distribution, self.distribution)
-        apply_schedule(self, self, sched)
-        return sum(tr.section.size for tr in sched if tr.src_task != tr.dst_task)
+        remote = [tr for tr in sched if not tr.is_local]
+        apply_schedule(self, self, remote)
+        return sum(tr.section.size for tr in remote)
 
     def is_consistent(self) -> bool:
         """True when every mapped copy of every element equals the

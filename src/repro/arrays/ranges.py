@@ -17,7 +17,7 @@ The operations required by the paper are:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -339,6 +339,31 @@ class Range:
         ):
             raise RangeError(f"{sub!r} is not a subset of {self!r}")
         return pos.astype(np.int64)
+
+    def slice_of(self, sub: "Range") -> Optional[slice]:
+        """The basic ``slice`` selecting ``sub``'s positions within
+        ``self`` — :meth:`positions_of` without materializing them.
+
+        Defined when both ranges are regular (the strides then line up
+        exactly when ``sub`` is a subset); ``None`` when either is
+        indexed.  A regular ``sub`` that is not a subset raises
+        :class:`RangeError`, as :meth:`positions_of` does; an empty
+        ``sub`` yields the empty slice."""
+        if sub.is_empty:
+            return slice(0, 0)
+        if not (self.is_regular and sub.is_regular):
+            return None
+        if (
+            self.is_empty
+            or sub._lo < self._lo
+            or sub._hi > self._hi
+            or (sub._lo - self._lo) % self._step
+            or (sub._size > 1 and sub._step % self._step)
+        ):
+            raise RangeError(f"{sub!r} is not a subset of {self!r}")
+        start = (sub._lo - self._lo) // self._step
+        step = sub._step // self._step if sub._size > 1 else 1
+        return slice(start, start + (sub._size - 1) * step + 1, step)
 
     def issubset(self, other: "Range") -> bool:
         """True when every element of ``self`` belongs to ``other``."""

@@ -198,14 +198,30 @@ class Slice:
     # -- numpy interop ----------------------------------------------------
 
     def np_index(self) -> tuple:
-        """An ``np.ix_``-style open-mesh index selecting this section
-        from a global numpy array."""
+        """An index selecting this section from a global numpy array.
+
+        When every range is regular it is a tuple of basic slices
+        (``l:u+1:s`` per axis), so indexing yields a zero-copy view;
+        otherwise it is the ``np.ix_`` open mesh of the ranges' elements
+        — the general case for indexed ranges, whose result is a copy.
+        Either way the selection has shape :attr:`shape`."""
+        if all(r.is_regular for r in self._ranges):
+            return tuple(
+                slice(0, 0) if r.is_empty else slice(r.first, r.last + 1, r.step)
+                for r in self._ranges
+            )
         return np.ix_(*[r.indices() for r in self._ranges])
 
     def local_index_within(self, outer: "Slice") -> tuple:
-        """An ``np.ix_`` index selecting this section from the *local*
-        array that stores the ``outer`` section.  ``self`` must be a
-        subset of ``outer``.
+        """An index selecting this section from the *local* array that
+        stores the ``outer`` section.  ``self`` must be a subset of
+        ``outer`` (:class:`~repro.errors.RangeError` otherwise).
+
+        When every axis pairs regular ranges it is a tuple of basic
+        slices (:meth:`Range.slice_of`), so indexing yields a zero-copy
+        view; otherwise it is the ``np.ix_`` open mesh of
+        :meth:`Range.positions_of` — the general case for indexed
+        ranges, whose result is a copy.
 
         An empty section selects nothing regardless of its per-axis
         ranges (a zero-extent slice may carry non-empty ranges on other
@@ -213,13 +229,12 @@ class Slice:
         if self.rank != outer.rank:
             raise SliceError("rank mismatch")
         if self.is_empty:
-            return np.ix_(*[np.empty(0, dtype=np.int64)] * self.rank)
-        return np.ix_(
-            *[
-                o.positions_of(r)
-                for r, o in zip(self._ranges, outer._ranges)
-            ]
-        )
+            return (slice(0, 0),) * self.rank
+        pairs = list(zip(outer._ranges, self._ranges))
+        basic = [o.slice_of(r) for o, r in pairs]
+        if None not in basic:
+            return tuple(basic)
+        return np.ix_(*[o.positions_of(r) for o, r in pairs])
 
     def flat_positions_within(
         self,

@@ -134,10 +134,6 @@ class DrainController:
             )
         gen.drain_state = DrainState.PENDING
         gen.drain_error = None
-        # Pin the newest durable fallback before the drain can race it.
-        protect = self.rotation.latest() if self.rotation is not None else None
-        if protect is not None:
-            self.rotation.pin(protect)
         self._set_pending(+1)
         with self._state_lock:
             self.scheduled_at[prefix] = float(clock)
@@ -146,16 +142,16 @@ class DrainController:
             pending=self.pending,
         )
         if self.synchronous:
-            self._drain(prefix, protect)
+            self._drain(prefix)
             return None
-        future = submit_task(lambda: self._drain(prefix, protect))
+        future = submit_task(lambda: self._drain(prefix))
         with self._state_lock:
             self._futures[prefix] = future
         return future
 
     # -- the drain itself ----------------------------------------------------
 
-    def _drain(self, prefix: str, protect: Optional[str]) -> str:
+    def _drain(self, prefix: str) -> str:
         """Runs on the pool (or inline): returns the final drain state.
         Failures are recorded on the generation, never raised — a broken
         drain must not take the application down; recovery falls back."""
@@ -165,6 +161,13 @@ class DrainController:
             gen = self.store.gen(prefix)
             gen.drain_state = DrainState.DRAINING
             fr.record("drain_state", prefix=prefix, state=DrainState.DRAINING)
+            # Pin the newest durable fallback for the drain's duration.
+            # Chosen behind every earlier drain, so the pinned state (and
+            # the manifests read to find it) does not depend on how far
+            # those drains had got when this one was scheduled.
+            protect = self.rotation.latest() if self.rotation is not None else None
+            if protect is not None:
+                self.rotation.pin(protect)
             try:
                 if gen.kind == "drms":
                     segment, arrays = self.store.materialize_drms(prefix)

@@ -147,3 +147,42 @@ def test_async_drain_overlaps_and_completes(env, workload):
     assert store.gen("ck.000001").drain_state == DrainState.DURABLE
     assert drainer.pending == 0
     assert validate_checkpoint(pfs, "ck.000001").ok
+
+
+def test_async_drain_pins_the_fallback_committed_before_it(env, workload, monkeypatch):
+    """A drain queued behind a still-running one pins the generation that
+    running drain commits: the fallback is chosen when the drain starts,
+    not when it is scheduled, so it does not depend on thread timing."""
+    import threading
+
+    import repro.mlck.drain as drain_mod
+
+    machine, pfs, store = env
+    pins = []
+
+    class Recording(CheckpointRotation):
+        def pin(self, prefix):
+            pins.append(prefix)
+            super().pin(prefix)
+
+    release = threading.Event()
+
+    def held_first(pfs_, prefix, *args, **kwargs):
+        if prefix == "ck.000001":
+            assert release.wait(timeout=30.0)
+        return drms_checkpoint(pfs_, prefix, *args, **kwargs)
+
+    monkeypatch.setattr(drain_mod, "drms_checkpoint", held_first)
+    rot = Recording(pfs, "ck", keep=2)
+    drainer = DrainController(store, pfs, rotation=rot, synchronous=False)
+    for g in (1, 2):
+        seg, arrays = workload(iteration=g)
+        store.capture_drms(f"ck.{g:06d}", seg, arrays)
+    drainer.schedule("ck.000001")
+    drainer.schedule("ck.000002")  # while ck.000001 is still draining
+    release.set()
+    drainer.wait(timeout=30.0)
+    assert drainer.pending == 0
+    assert pins == ["ck.000001"]
+    assert rot.pinned == frozenset()
+    assert generations(pfs, "ck") == ["ck.000001", "ck.000002"]
