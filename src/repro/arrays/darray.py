@@ -109,19 +109,6 @@ class DistributedArray:
         self._need_data()
         return self._locals[task]
 
-    def local_flat(self, task: int) -> np.ndarray:
-        """1-D C-order view of ``task``'s local array — the address
-        space the vectorized gather/scatter index plans target.  Writes
-        through to local storage; a local that is not C-contiguous (not
-        produced here, but possible via direct mutation) is normalized
-        first so the flat view is guaranteed to alias it."""
-        self._need_data()
-        arr = self._locals[task]
-        if not arr.flags.c_contiguous:
-            arr = np.ascontiguousarray(arr)
-            self._locals[task] = arr
-        return arr.reshape(-1)
-
     def assigned_view(self, task: int) -> np.ndarray:
         """A copy of the task's *assigned* (owned) elements, shaped as
         its assigned section.  Writing to the result does not touch the

@@ -43,7 +43,6 @@ from repro.errors import (
 from repro.obs import get_tracer
 from repro.pfs.phase import IOKind
 from repro.pfs.piofs import PIOFS
-from repro.streaming.order import stream_order_bytes
 from repro.streaming.parallel import stream_in_parallel, stream_out_parallel
 from repro.streaming.streams import PFSSink, PFSSource
 
@@ -237,7 +236,7 @@ def drms_checkpoint(
                 pfs.begin_phase(IOKind.WRITE_PARALLEL)
                 stats = stream_out_parallel(
                     a, sink, P=io_tasks, order=order, target_bytes=target_bytes,
-                    concurrency=concurrency,
+                    concurrency=concurrency, digest=True,
                 )
                 res = pfs.end_phase()
                 obs.advance(res.seconds)
@@ -251,13 +250,9 @@ def drms_checkpoint(
             bd.arrays_bytes += stats.bytes_streamed
             bd.per_array.append((a.name, res.seconds, stats.bytes_streamed))
             # Integrity record: SHA-1 over the *intended* canonical stream
-            # bytes (not the file content), so a torn or short write that
-            # corrupted the stored file is caught at restart.
-            sha = (
-                sha1_hex(stream_order_bytes(a.to_global(), order))
-                if a.store_data
-                else None
-            )
+            # (the buffer the parstream gathered, not the file content),
+            # so a torn or short write is caught at restart.
+            sha = stats.stream_sha1
             manifest_arrays.append(
                 {
                     "name": a.name,

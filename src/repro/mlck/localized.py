@@ -29,7 +29,7 @@ newest byte-valid PFS generation — a full read, correctly charged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,8 +52,12 @@ from repro.mlck.placement import _rotate_past
 from repro.mlck.store import L1Store, _Accounting
 from repro.obs import get_flight, get_tracer
 from repro.runtime.machine import Machine
-from repro.streaming.order import bytes_to_section, check_order
-from repro.streaming.vectorized import _cached_index_plan
+from repro.streaming.order import check_order
+from repro.streaming.vectorized import (
+    _cached_index_plan,
+    entry_stream_intervals,
+    scatter_section_flat,
+)
 
 __all__ = [
     "ArrayScope",
@@ -87,8 +91,8 @@ class RebuildScope:
 
     ``lost_ranks`` are the ranks whose placement node died;
     ``replacements`` maps each lost rank to the node taking it over.
-    Byte accounting comes from the checkpoint's "assigned" section
-    index plans (:mod:`repro.streaming.vectorized`), so the scope is
+    Byte accounting comes from the checkpoint's "assigned" box plans
+    (:mod:`repro.streaming.vectorized`), so the scope is
     exact down to partial-INDEXED holes.
     """
 
@@ -129,19 +133,6 @@ class RebuildScope:
             "lost_bytes": self.lost_bytes,
             "total_bytes": self.total_bytes,
         }
-
-
-def _byte_intervals(spos_sorted: np.ndarray, itemsize: int) -> List[Tuple[int, int]]:
-    """Contiguous byte intervals of sorted stream positions."""
-    if spos_sorted.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(spos_sorted) != 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [spos_sorted.size - 1]))
-    return [
-        (int(spos_sorted[s]) * itemsize, (int(spos_sorted[e]) + 1) * itemsize)
-        for s, e in zip(starts, ends)
-    ]
 
 
 def _merge_intervals(intervals: List[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
@@ -223,15 +214,14 @@ def compute_rebuild_scope(
         itemsize = np.dtype(spec["dtype"]).itemsize
         section = Slice.full(spec["shape"])
         plan = _cached_index_plan(dist, section, order, "assigned")
-        rank_bytes: Dict[int, int] = {}
+        rank_bytes = {e.task: e.size * itemsize for e in plan.entries}
         intervals: List[Tuple[int, int]] = []
         lost_bytes = 0
-        for entry in plan.entries:
-            nb = int(entry.spos.size) * itemsize
-            rank_bytes[entry.task] = nb
-            if entry.task in lost_set:
-                lost_bytes += nb
-                intervals.extend(_byte_intervals(entry.spos_sorted, itemsize))
+        for e in plan.entries:
+            if e.task in lost_set:
+                lost_bytes += rank_bytes[e.task]
+                runs = entry_stream_intervals(plan, e) * itemsize
+                intervals.extend(map(tuple, runs.tolist()))
         scopes.append(
             ArrayScope(
                 name=spec["name"],
@@ -260,22 +250,18 @@ def rebuild_lost_sections(
     lost_ranks: Sequence[int],
     order: str = "F",
 ) -> int:
-    """Scatter only the lost ranks' mapped pieces of a stream-ordered
+    """Scatter only the lost ranks' mapped boxes of a stream-ordered
     value vector into ``darray``, leaving every survivor's local section
-    untouched — the section-scoped rebuild primitive, built on the
-    vectorized "mapped" index plans.  Returns elements delivered."""
+    untouched — the section-scoped rebuild primitive: the ordinary box
+    scatter over the lost ranks' entries of the "mapped" plan.  Returns
+    elements delivered."""
     check_order(order)
     section = Slice.full(darray.shape)
     plan = _cached_index_plan(darray.distribution, section, order, "mapped")
     lost = set(int(r) for r in lost_ranks)
-    flat = np.ascontiguousarray(flat).reshape(-1)
-    delivered = 0
-    for entry in plan.entries:
-        if entry.task not in lost or entry.spos.size == 0:
-            continue
-        darray.local_flat(entry.task)[entry.lflat] = flat[entry.spos]
-        delivered += int(entry.spos.size)
-    return delivered
+    plan = replace(plan, entries=tuple(e for e in plan.entries if e.task in lost))
+    scatter_section_flat(darray, section, flat, order=order, plan=plan)
+    return sum(e.size for e in plan.entries)
 
 
 def localized_restore_drms(
@@ -388,15 +374,8 @@ def localized_restore_drms(
                 f"l1_localized_fetch:{e.name}", file=e.file
             ) as sp:
                 if not e.virtual:
-                    data = store._fetch_pieces(
-                        e.pieces, untimed, any_up, count_hits=False
-                    )
-                    if e.sha1 is not None and sha1_hex(data) != e.sha1:
-                        raise MemoryTierError(
-                            f"L1 stream {e.file!r} failed checksum validation"
-                        )
-                    arr.set_global(
-                        bytes_to_section(data, e.shape, e.dtype, order)
+                    store._fetch_array(
+                        e, arr, untimed, any_up, order, count_hits=False
                     )
                     servers = sorted(
                         {store._serving_replica(p) for p in e.pieces}

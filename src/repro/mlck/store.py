@@ -36,6 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arrays.darray import DistributedArray
+from repro.arrays.slices import Slice
 from repro.checkpoint.drms import (
     CheckpointBreakdown,
     RestartBreakdown,
@@ -58,7 +59,8 @@ from repro.errors import CheckpointError, MemoryTierError, RestartError
 from repro.mlck.placement import select_partners
 from repro.obs import get_flight, get_tracer
 from repro.runtime.machine import Machine
-from repro.streaming.order import bytes_to_section, check_order, stream_order_bytes
+from repro.streaming.order import check_order
+from repro.streaming.vectorized import gather_section_flat, scatter_section_flat
 
 __all__ = ["L1Piece", "L1ArrayEntry", "L1Generation", "L1Store"]
 
@@ -345,12 +347,14 @@ class L1Store:
         clock: float,
         store: bool = True,
     ) -> Tuple[List[L1Piece], int]:
-        """Chunk ``data`` into replicated pieces round-robin over
+        """Chunk ``data`` (any bytes-like buffer; each piece stores a
+        ``bytes`` copy) into replicated pieces round-robin over
         ``nodes``; sized bytes beyond ``len(data)`` (pad, virtual
         payload) are charged to the last piece's owner.  Returns the
         pieces and the advanced round-robin counter."""
-        spans = _chunk_spans(len(data), self.target_bytes)
-        extra = max(0, charged_total - len(data))
+        view = memoryview(data)
+        spans = _chunk_spans(len(view), self.target_bytes)
+        extra = max(0, charged_total - len(view))
         pieces = []
         for i, (off, n) in enumerate(spans):
             owner = nodes[(start + i) % len(nodes)]
@@ -365,7 +369,7 @@ class L1Store:
                     acct,
                     f"{file}#{i:06d}",
                     off,
-                    data[off : off + n],
+                    bytes(view[off : off + n]),
                     charged,
                     owner,
                     partner_cache[owner],
@@ -448,8 +452,10 @@ class L1Store:
 
             for a in arrays:
                 fname = array_name(prefix, a.name)
+                # non-strict: holes stream as zeros, as in a PFS checkpoint
                 stream = (
-                    stream_order_bytes(a.to_global(), order)
+                    gather_section_flat(a, Slice.full(a.shape), order=order)
+                    .view(np.uint8)
                     if a.store_data
                     else b""
                 )
@@ -672,6 +678,23 @@ class L1Store:
                     acct.copy(node, piece.nbytes)
         return b"".join(out)
 
+    def _fetch_array(
+        self, e: L1ArrayEntry, arr: DistributedArray, acct: _Accounting,
+        requester: int, order: str, count_hits: bool = True,
+    ) -> None:
+        """Fetch an array's stream from surviving replicas, check it
+        against its capture digest, and scatter it into every task's
+        mapped section — the same box scatter a PFS restart uses."""
+        data = self._fetch_pieces(e.pieces, acct, requester, count_hits)
+        if e.sha1 is not None and sha1_hex(data) != e.sha1:
+            raise MemoryTierError(
+                f"L1 stream {e.file!r} failed checksum validation"
+            )
+        scatter_section_flat(
+            arr, Slice.full(arr.shape), np.frombuffer(data, dtype=arr.dtype),
+            order=order,
+        )
+
     # -- restore -------------------------------------------------------------
 
     def _drms_manifest_like(self, gen: L1Generation) -> Dict:
@@ -793,15 +816,8 @@ class L1Store:
                 acct = _Accounting(self.machine)
                 with obs.span(f"l1_fetch:{e.name}", file=e.file) as sp:
                     if not e.virtual:
-                        requester = requesters[i % len(requesters)]
-                        data = self._fetch_pieces(e.pieces, acct, requester)
-                        if e.sha1 is not None and sha1_hex(data) != e.sha1:
-                            raise MemoryTierError(
-                                f"L1 stream {e.file!r} failed checksum "
-                                "validation"
-                            )
-                        arr.set_global(
-                            bytes_to_section(data, e.shape, e.dtype, order)
+                        self._fetch_array(
+                            e, arr, acct, requesters[i % len(requesters)], order
                         )
                     else:
                         # sized virtual payload: charged over one link
@@ -936,15 +952,8 @@ class L1Store:
                 store_data=not e.virtual,
             )
             if not e.virtual:
-                data = self._fetch_pieces(
-                    e.pieces, acct, requester, count_hits=False
-                )
-                if e.sha1 is not None and sha1_hex(data) != e.sha1:
-                    raise MemoryTierError(
-                        f"L1 stream {e.file!r} failed checksum validation"
-                    )
-                arr.set_global(
-                    bytes_to_section(data, e.shape, e.dtype, gen.order)
+                self._fetch_array(
+                    e, arr, acct, requester, gen.order, count_hits=False
                 )
             arrays.append(arr)
         return segment, arrays

@@ -2,7 +2,7 @@
 
 Checkpointing the same arrays repeatedly recomputes identical pure
 artifacts every time: redistribution transfer schedules, Fig. 5a
-stream-order partitions, piece byte offsets, stream-position maps.
+stream-order partitions, piece byte offsets, gather/scatter box plans.
 This package amortizes them (the Plaat et al. observation from
 PAPERS.md that real checkpoint throughput comes from amortizing plan
 work and overlapping I/O):
@@ -31,7 +31,6 @@ from repro.plancache.plans import (
     partition,
     partition_for_target,
     piece_offsets,
-    section_stream_positions,
     streaming_plan,
     transfer_schedule,
 )
@@ -46,6 +45,5 @@ __all__ = [
     "partition",
     "partition_for_target",
     "piece_offsets",
-    "section_stream_positions",
     "streaming_plan",
 ]

@@ -12,7 +12,7 @@ answer.  :class:`PlanCache` memoizes those answers.
 Keying discipline (see DESIGN.md §11):
 
 * every key starts with a ``kind`` tag (``"schedule"``,
-  ``"partition"``, ``"offsets"``, ``"positions"``) so unrelated plans
+  ``"partition"``, ``"offsets"``, ``"indexplan"``) so unrelated plans
   never collide;
 * distributions enter keys only through
   :meth:`~repro.arrays.distributions.Distribution.fingerprint` — a

@@ -11,9 +11,8 @@ plancache.cache.PlanCache`:
   Fig. 5a stream-order partition (``streaming/partition.py``), keyed by
   the section and the split parameters;
 * :func:`piece_offsets` — the running-sum byte offsets of a partition;
-* :func:`section_stream_positions` — the stream-position map of a
-  sub-section (``streaming/order.py``), returned read-only because the
-  cached ndarray is shared between callers;
+* :func:`section_index_plan` — the box plan of a bulk gather/scatter
+  (``streaming/vectorized.py``), keyed by the distribution fingerprint;
 * :func:`streaming_plan` — the (pieces, offsets) pair the parstream
   executor needs, as one composite entry.
 
@@ -28,15 +27,10 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-import numpy as np
-
 from repro.arrays.distributions import Distribution
 from repro.arrays.slices import Slice
 from repro.plancache.cache import get_plan_cache
 from repro.streaming.order import check_order
-from repro.streaming.order import (
-    section_stream_positions as _section_stream_positions,
-)
 from repro.streaming.partition import partition as _partition
 from repro.streaming.partition import (
     partition_for_target as _partition_for_target,
@@ -48,7 +42,6 @@ __all__ = [
     "partition",
     "partition_for_target",
     "piece_offsets",
-    "section_stream_positions",
     "section_index_plan",
     "streaming_plan",
 ]
@@ -112,23 +105,6 @@ def piece_offsets(pieces: List[Slice], itemsize: int) -> List[int]:
     return list(offs)
 
 
-def section_stream_positions(
-    section: Slice, sub: Slice, order: str = "F"
-) -> np.ndarray:
-    """Memoized :func:`repro.streaming.order.section_stream_positions`.
-    The returned array is **read-only** (it is shared by every caller of
-    the same key)."""
-
-    def compute() -> np.ndarray:
-        pos = _section_stream_positions(section, sub, order)
-        pos.setflags(write=False)
-        return pos
-
-    return get_plan_cache().get_or_compute(
-        "positions", (section, sub, check_order(order)), compute
-    )
-
-
 def section_index_plan(
     dist: Distribution,
     section: Slice,
@@ -136,12 +112,12 @@ def section_index_plan(
     kind: str = "assigned",
 ):
     """Memoized :func:`repro.streaming.vectorized.
-    build_section_index_plan` — the per-task (stream-position,
-    local-flat) index-array pairs of a vectorized gather (kind
+    build_section_index_plan` — the per-task boxes (section index,
+    local index, per-axis positions) of a bulk gather (kind
     ``"assigned"``) or scatter (kind ``"mapped"``).  The distribution
     enters the key only via its fingerprint, so the entry is dropped by
-    :meth:`PlanCache.invalidate_distribution`.  The plan's index arrays
-    are **read-only** (shared by every caller of the same key)."""
+    :meth:`PlanCache.invalidate_distribution`.  The plan is shared by
+    every caller of the same key; callers must not mutate it."""
     # local import: the pure kernel module must stay importable without
     # plancache (the cache layer sits above the pure layer)
     from repro.streaming.vectorized import build_section_index_plan

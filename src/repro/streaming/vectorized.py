@@ -1,53 +1,43 @@
-"""Vectorized bulk gather/scatter over precomputed index-array plans.
+"""Bulk gather/scatter over precomputed box plans.
 
-The scalar hot path assembled every piece with nested Python loops:
-for each owner task, intersect, build an ``np.ix_`` mesh, copy a small
-block.  At bench piece sizes (KB-scale) the interpreter overhead of
-those loops — not the byte copies — dominated the parstream executor
-(BENCH_parstream.json: threads_vs_serial 0.87–0.97).
+A section's stream is a redistribution of the tasks' local arrays: each
+task's share is its coverage (assigned or mapped section) intersected
+with the section — a *box* (paper Fig. 5b).  A **box plan** for a
+(distribution, section, order, kind) holds one :class:`PlanEntry` per
+overlapping task: the box's size, its index ``sidx`` into the section
+viewed in its stream shape, its index ``lidx`` into the task's local
+array (which stores the task's mapped section), and its per-axis
+positions within the section.  Both indices are basic slices when the ranges are
+regular and the ``np.ix_`` mesh when some axis is indexed, so one code
+path serves both.  With ``view = flat.reshape(section.shape, order)``,
+gather is ``view[e.sidx] = local(e.task)[e.lidx]`` per owner (kind
+``"assigned"``; owners are disjoint) and scatter is the reverse per
+mapping task (kind ``"mapped"``; overlapping copies all receive the
+same value).
 
-This module replaces the loops with single fancy-indexed numpy copies
-driven by a **section index plan**: for a (distribution, section,
-order) triple and a coverage kind, the plan holds per overlapping task
-two parallel int64 vectors
-
-* ``spos``  — stream positions of the overlap's elements within the
-  section's stream (``order``-major over the section's own mesh);
-* ``lflat`` — flat positions of the same elements within the task's
-  C-contiguous local array (which stores the task's *mapped* section).
-
-Both vectors enumerate the overlap in its own ``order``-major stream,
-so the element correspondence is positional and
-
-* gather is ``flat[spos] = local_flat[lflat]`` per owner
-  (kind ``"assigned"``; owners are pairwise disjoint), and
-* scatter is ``local_flat[lflat] = flat[spos]`` per mapping task
-  (kind ``"mapped"``; overlapping copies all receive the same value).
-
-Plans depend only on distribution geometry, so they are cached in
-:mod:`repro.plancache` (kind ``"indexplan"``, keyed by the distribution
-fingerprint) and invalidated with the distribution.  The sorted copy of
-``spos`` carried per entry turns per-piece redistribution accounting
-into two binary searches per owner (:func:`range_redistribution_bytes`)
-— pieces of the Fig. 5a partition are stream-contiguous, so a piece is
-exactly a stream-position interval.
-
-Memory note: a bulk gather materializes the whole section (the plan
-vectors are O(section) as well).  The simulated machine is in-process —
-every task's local array is already resident — so this trades a
-bounded, same-order allocation for the removal of the per-piece
-interpreter loop.
+A plan is O(tasks + box extents), never O(section).  Stream-position
+questions are answered from the per-axis positions: the number of a
+box's elements below a stream position is a mixed-radix count over the
+section shape, O(rank) per box, which is how
+:func:`range_redistribution_bytes` accounts a Fig. 5a piece (a stream
+interval), and :func:`entry_stream_intervals` lists a box's stream runs
+for localized recovery.  Plans depend only on distribution geometry, so
+they are cached in :mod:`repro.plancache` (kind ``"indexplan"``, keyed
+by the distribution fingerprint) and serve virtual (geometry-only)
+arrays' accounting too.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.arrays.darray import DistributedArray
 from repro.arrays.distributions import Distribution
+from repro.arrays.ranges import Range
 from repro.arrays.slices import Slice
 from repro.errors import StreamingError
 from repro.streaming.order import check_order
@@ -59,6 +49,7 @@ __all__ = [
     "gather_section_flat",
     "scatter_section_flat",
     "range_redistribution_bytes",
+    "entry_stream_intervals",
 ]
 
 #: coverage kinds: "assigned" drives gather (ownership; disjoint),
@@ -68,28 +59,43 @@ _KINDS = ("assigned", "mapped")
 
 @dataclass(frozen=True)
 class PlanEntry:
-    """One task's share of a section index plan (all arrays read-only)."""
+    """One task's box in a section plan."""
 
     task: int
-    #: stream positions within the section, in the overlap's own stream
-    spos: np.ndarray
-    #: flat positions within the task's C-contiguous local array, in the
-    #: same enumeration — positional correspondence with ``spos``
-    lflat: np.ndarray
-    #: ``np.sort(spos)`` — interval counting for accounting
-    spos_sorted: np.ndarray
+    #: elements of the box (the task's coverage within the section)
+    size: int
+    #: index of the box within the section's stream-shaped view
+    sidx: tuple
+    #: index of the box within the task's local (mapped) array
+    lidx: tuple
+    #: per-axis ascending positions of the box within the section (a
+    #: ``range`` for regular axes, a tuple for indexed ones)
+    pos: Tuple[Sequence[int], ...]
 
 
 @dataclass(frozen=True)
 class SectionIndexPlan:
-    """Cached index arrays for one (distribution, section, order, kind)."""
+    """Cached box plan for one (distribution, section, order, kind)."""
 
     section_size: int
-    kind: str
     entries: Tuple[PlanEntry, ...]
-    #: total overlap elements; exact coverage for "assigned" (owners are
+    #: total box elements; exact coverage for "assigned" (owners are
     #: pairwise disjoint), an upper bound for "mapped"
     covered: int
+    #: the section's shape and the stream stride of each axis
+    shape: Tuple[int, ...]
+    strides: Tuple[int, ...]
+    #: axes from most to least significant in the stream order
+    major: Tuple[int, ...]
+
+
+def _axis_positions(outer: Range, sub: Range) -> Sequence[int]:
+    """``sub``'s positions within ``outer``: a ``range`` when both are
+    regular, else a tuple."""
+    basic = outer.slice_of(sub)
+    if basic is not None:
+        return range(basic.start, basic.stop, basic.step)
+    return tuple(outer.positions_of(sub).tolist())
 
 
 def build_section_index_plan(
@@ -98,41 +104,45 @@ def build_section_index_plan(
     order: str = "F",
     kind: str = "assigned",
 ) -> SectionIndexPlan:
-    """Compute the index-array plan (pure; cached via
+    """Compute the box plan (pure; cached via
     :func:`repro.plancache.plans.section_index_plan`)."""
     check_order(order)
     if kind not in _KINDS:
         raise StreamingError(
             f"unknown index-plan kind {kind!r}; expected one of {_KINDS}"
         )
+    shape = section.shape
+    rank = len(shape)
+    major = tuple(range(rank - 1, -1, -1)) if order == "F" else tuple(range(rank))
+    strides = [1] * rank
+    acc = 1
+    for ax in reversed(major):
+        strides[ax] = acc
+        acc *= shape[ax]
     entries = []
     covered = 0
-    tasks = (
-        dist.owner_tasks(section)
-        if kind == "assigned"
-        else dist.mapped_tasks(section)
-    )
-    for t in tasks:
+    for t in range(dist.ntasks):
         base = dist.assigned(t) if kind == "assigned" else dist.mapped(t)
-        sec = base.intersect(section)
-        if sec.is_empty:
+        box = base.intersect(section)
+        if box.is_empty:
             continue
-        spos = sec.flat_positions_within(
-            section, enum_order=order, address_order=order
+        entries.append(
+            PlanEntry(
+                task=t,
+                size=box.size,
+                sidx=box.local_index_within(section),
+                lidx=box.local_index_within(dist.mapped(t)),
+                pos=tuple(_axis_positions(s, b) for s, b in zip(section, box)),
+            )
         )
-        lflat = sec.flat_positions_within(
-            dist.mapped(t), enum_order=order, address_order="C"
-        )
-        spos_sorted = np.sort(spos)
-        for v in (spos, lflat, spos_sorted):
-            v.setflags(write=False)
-        entries.append(PlanEntry(t, spos, lflat, spos_sorted))
-        covered += sec.size
+        covered += box.size
     return SectionIndexPlan(
         section_size=section.size,
-        kind=kind,
         entries=tuple(entries),
         covered=covered,
+        shape=shape,
+        strides=tuple(strides),
+        major=major,
     )
 
 
@@ -154,21 +164,22 @@ def gather_section_flat(
     plan: SectionIndexPlan | None = None,
 ) -> np.ndarray:
     """The section's elements as one 1-D array in stream order, copied
-    from the owner tasks with one fancy-indexed assignment per owner.
-    Elements assigned to no task are zeros, or raise under ``strict``
-    (the :func:`repro.streaming.serial.strict_gather` semantics)."""
+    box by box from the owner tasks.  Elements assigned to no task are
+    zeros, or raise under ``strict`` (the
+    :func:`repro.streaming.serial.strict_gather` semantics)."""
     check_order(order)
     if plan is None:
         plan = _cached_index_plan(darray.distribution, section, order, "assigned")
-    if strict and plan.covered < plan.section_size:
+    holes = plan.section_size - plan.covered
+    if strict and holes:
         raise StreamingError(
-            f"strict gather: section {section} has "
-            f"{plan.section_size - plan.covered} undefined element(s) "
-            f"(no owning task) in array {darray.name!r}"
+            f"strict gather: section {section} has {holes} undefined "
+            f"element(s) (no owning task) in array {darray.name!r}"
         )
-    flat = np.zeros(plan.section_size, dtype=darray.dtype)
+    flat = (np.zeros if holes else np.empty)(plan.section_size, dtype=darray.dtype)
+    view = flat.reshape(plan.shape, order=order)
     for e in plan.entries:
-        flat[e.spos] = darray.local_flat(e.task)[e.lflat]
+        view[e.sidx] = darray.local(e.task)[e.lidx]
     return flat
 
 
@@ -181,7 +192,7 @@ def scatter_section_flat(
 ) -> None:
     """Deliver a stream-ordered 1-D value vector into every task whose
     mapped section overlaps ``section`` — all copies of every element
-    are updated consistently, one fancy-indexed assignment per task."""
+    are updated consistently, one box copy per task."""
     check_order(order)
     if plan is None:
         plan = _cached_index_plan(darray.distribution, section, order, "mapped")
@@ -191,8 +202,31 @@ def scatter_section_flat(
             f"scatter of {flat.size} values into a section of "
             f"{plan.section_size} elements"
         )
+    view = flat.reshape(plan.shape, order=order)
     for e in plan.entries:
-        darray.local_flat(e.task)[e.lflat] = flat[e.spos]
+        darray.local(e.task)[e.lidx] = view[e.sidx]
+
+
+def _count_below(plan: SectionIndexPlan, e: PlanEntry, bound: int) -> int:
+    """Elements of ``e``'s box at stream positions ``< bound``.  Walk
+    the bound's mixed-radix digits over the section shape from the most
+    significant axis: each axis adds (box positions below the digit) x
+    (box elements per position), while the digits so far lie in the box."""
+    if bound <= 0:
+        return 0
+    if bound >= plan.section_size:
+        return e.size
+    count = 0
+    rest = e.size
+    for ax in plan.major:
+        p = e.pos[ax]
+        rest //= len(p)
+        digit = bound // plan.strides[ax] % plan.shape[ax]
+        less = bisect_left(p, digit)
+        count += less * rest
+        if less == len(p) or p[less] != digit:
+            break
+    return count
 
 
 def range_redistribution_bytes(
@@ -205,8 +239,32 @@ def range_redistribution_bytes(
     scalar accounting."""
     moved = 0
     for e in plan.entries:
-        if e.task == io_task:
-            continue
-        a, b = np.searchsorted(e.spos_sorted, (lo, hi))
-        moved += int(b - a)
+        if e.task != io_task:
+            moved += _count_below(plan, e, hi) - _count_below(plan, e, lo)
     return moved * itemsize
+
+
+def entry_stream_intervals(plan: SectionIndexPlan, e: PlanEntry) -> np.ndarray:
+    """The stream runs of ``e``'s box: an ascending ``(n, 2)`` int64
+    array of ``[start, stop)`` positions.  Whole least significant axes
+    fold into the run length; the next axis splits into its consecutive
+    runs, repeated at every position of the more significant axes (runs
+    touching across rows are left for the caller to merge)."""
+    minor = plan.major[::-1]
+    k = 0
+    while k < len(minor) and len(e.pos[minor[k]]) == plan.shape[minor[k]]:
+        k += 1
+    if k == len(minor):
+        return np.array([[0, plan.section_size]], dtype=np.int64)
+    ax = minor[k]
+    p = np.asarray(e.pos[ax], dtype=np.int64)
+    cut = np.flatnonzero(np.diff(p) != 1)
+    first = p[np.concatenate(([0], cut + 1))]
+    last = p[np.concatenate((cut, [p.size - 1]))]
+    outer = np.zeros(1, dtype=np.int64)
+    for ax2 in minor[k + 1:]:
+        p2 = np.asarray(e.pos[ax2], dtype=np.int64)
+        outer = (p2[:, None] * plan.strides[ax2] + outer).reshape(-1)
+    starts = (outer[:, None] + first * plan.strides[ax]).reshape(-1)
+    stops = (outer[:, None] + (last + 1) * plan.strides[ax]).reshape(-1)
+    return np.stack((starts, stops), axis=1)

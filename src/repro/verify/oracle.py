@@ -1109,7 +1109,7 @@ def _run_localized(case: Case) -> CaseResult:
                 stream_order_bytes(ref, case.order), dtype=np.dtype(spec.dtype)
             )
             for r in scope.lost_ranks:
-                arr.local_flat(r)[:] = 0
+                arr.local(r)[...] = 0
             rebuild_lost_sections(
                 arr, flat_vals, scope.lost_ranks, order=case.order
             )

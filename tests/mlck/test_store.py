@@ -207,3 +207,29 @@ def test_capture_faster_than_pfs_checkpoint(store, workload):
     _, l1_bd = store.capture_drms("ck.000001", seg, arrays)
     pfs_bd = drms_checkpoint(PIOFS(machine=store.machine), "pfs.ck", seg, arrays)
     assert l1_bd.total_seconds < pfs_bd.total_seconds
+
+
+def test_capture_zero_fills_holes_even_under_strict_gather(store, workload):
+    """The L1 capture gathers through the box plans but keeps the
+    zero-fill the whole-array copy had: holes stream as zeros even in a
+    strict-gather scope, the entry digest is the canonical stream's,
+    and the restore scatters the stream back to every mapped copy."""
+    import hashlib
+
+    from repro.arrays.darray import DistributedArray
+    from repro.arrays.distributions import Distribution, Indexed
+    from repro.arrays.ranges import Range
+    from repro.streaming.order import stream_order_bytes
+    from repro.streaming.serial import strict_gather
+
+    seg, _ = workload()
+    d = Distribution((8,), [Indexed([Range([0, 1, 2]), Range([5, 6])])], ntasks=2)
+    holey = DistributedArray("holey", (8,), np.float64, d)
+    holey.set_global(np.arange(1.0, 9.0))
+    want = holey.to_global(fill=0)
+    with strict_gather():
+        gen, _ = store.capture_drms("ck.000001", seg, [holey])
+    (entry,) = gen.arrays
+    assert entry.sha1 == hashlib.sha1(stream_order_bytes(want)).hexdigest()
+    state, _ = store.restore_drms("ck.000001", ntasks=2)
+    np.testing.assert_array_equal(state.arrays["holey"].to_global(fill=0), want)

@@ -1,6 +1,5 @@
 """Unit tests for the plan cache layer."""
 
-import numpy as np
 import pytest
 
 from repro.arrays.distributions import block_distribution
@@ -12,11 +11,11 @@ from repro.plancache import (
     get_plan_cache,
     partition_for_target,
     piece_offsets,
-    section_stream_positions,
     streaming_plan,
     transfer_schedule,
     use_plan_cache,
 )
+from repro.plancache.plans import section_index_plan
 from repro.streaming.partition import (
     partition_for_target as pure_partition_for_target,
 )
@@ -126,14 +125,19 @@ class TestCachedPlans:
         assert cache.hits == 1
         assert list(offsets) == piece_offsets(list(pieces), 8)
 
-    def test_positions_read_only(self):
+    def test_index_plan_shared_by_fingerprint(self):
+        # the box plan replaced the cached per-element position map;
+        # equal geometry shares one entry, dropped with the distribution
+        cache = PlanCache()
+        d1 = block_distribution((8, 8), 4)
+        d2 = block_distribution((8, 8), 4)
         s = Slice.full((8, 8))
-        sub = Slice.full((8, 8))
-        with use_plan_cache(PlanCache()):
-            pos = section_stream_positions(s, sub)
-        assert isinstance(pos, np.ndarray)
-        with pytest.raises(ValueError):
-            pos[0] = 0
+        with use_plan_cache(cache):
+            p1 = section_index_plan(d1, s)
+            assert section_index_plan(d2, s) is p1
+            cache.invalidate_distribution(d1)
+            assert section_index_plan(d1, s) is not p1
+        assert cache.hits == 1 and cache.misses == 2
 
     def test_schedule_fingerprint_sharing(self):
         # two Distribution objects with identical geometry share one entry
