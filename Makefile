@@ -77,8 +77,8 @@ bench-baseline:
 		benchmarks/bench_mlck_recovery.py --benchmark-only -s
 
 # the vectorized-streaming gate: regenerates BENCH_stream_vec.json and
-# fails if the coalesced thread engine loses to the bulk serial loop
-# (threads_vs_serial <= 1.0) or any engine's bytes diverge from the
+# fails if the coalesced bulk path loses to the per-piece loop
+# (vectorized_vs_serial <= 1.0) or either path's bytes diverge from the
 # scalar baseline
 bench-stream:
 	PYTHONPATH=src:benchmarks $(PYTHON) benchmarks/bench_stream_vectorized.py --check

@@ -1,17 +1,20 @@
-"""Concurrent parstream benchmark: serial vs cached vs threaded.
+"""Parstream benchmark: the per-piece loop vs the cached bulk path.
 
 Persists ``BENCH_parstream.json``:
 
-* **sweep** — for each piece-size target, wall-clock of the serial
-  round-robin executor vs the thread-pool executor over the same
-  arrays, with byte-identity asserted on every cell (the differential
-  contract that makes the comparison meaningful);
-* **combined** — the seed baseline (uncached plans + serial executor,
-  i.e. the pre-plancache code path) vs the full stack (warm plan cache
-  + concurrent executor), repeated as a periodic checkpointer would.
+* **sweep** — for each piece-size target, wall-clock of the per-piece
+  round-robin loop vs the bulk coalesced path over the same arrays,
+  with byte-identity asserted on every cell (the differential contract
+  that makes the comparison meaningful);
+* **combined** — the seed baseline (uncached plans + the per-piece
+  loop, i.e. the pre-plancache code path) vs the full stack (warm plan
+  cache + the bulk path), repeated as a periodic checkpointer would.
 
-The hard assertion is on the combined number: caching + concurrency
-must not lose to the seed path, and the plan cache must be hitting.
+Every cell writes into a fresh PIOFS file; the per-piece loop is
+selected the way production selects it, by an armed (plan-less) fault
+injector on that PIOFS.  The hard assertion is on the combined number:
+caching + the bulk path must not lose to the seed path, and the plan
+cache must be hitting.
 """
 
 import json
@@ -21,10 +24,12 @@ import numpy as np
 
 from repro.arrays.darray import DistributedArray
 from repro.arrays.distributions import block_distribution
+from repro.pfs.faults import FaultInjector
+from repro.pfs.piofs import PIOFS
 from repro.plancache import NullPlanCache, PlanCache, use_plan_cache
 from repro.streaming.parallel import stream_out_parallel
 from repro.streaming.serial import stream_out_serial
-from repro.streaming.streams import MemorySink
+from repro.streaming.streams import MemorySink, PFSSink
 
 NTASKS = 4
 P = 4
@@ -42,6 +47,15 @@ def _array(shape, name="bench"):
     return a
 
 
+def _sink(engine):
+    """A fresh PIOFS file sink; ``engine="serial"`` arms a plan-less
+    fault injector, which makes parstream take its per-piece loop."""
+    pfs = PIOFS()
+    if engine == "serial":
+        pfs.attach_faults(FaultInjector())
+    return PFSSink(pfs, "bench")
+
+
 def _sweep():
     a = _array(SWEEP_SHAPE)
     rows = []
@@ -51,27 +65,26 @@ def _sweep():
         want = ref.getvalue()
 
         cells = {}
-        for mode in ("serial", "threads"):
+        for mode in ("serial", "vectorized"):
             with use_plan_cache(PlanCache()) as cache:
                 stream_out_parallel(  # warm the plan once
-                    a, MemorySink(), P=P, target_bytes=target, concurrency=mode
+                    a, _sink(mode), P=P, target_bytes=target
                 )
                 sink = None
                 t0 = time.perf_counter()
                 for _ in range(3):
-                    sink = MemorySink()
-                    st = stream_out_parallel(
-                        a, sink, P=P, target_bytes=target, concurrency=mode
-                    )
+                    sink = _sink(mode)
+                    st = stream_out_parallel(a, sink, P=P, target_bytes=target)
                 cells[mode] = time.perf_counter() - t0
-                assert sink.getvalue() == want  # byte-identical, every mode
+                # byte-identical, every mode
+                assert sink.pfs.read_at("bench", 0, len(want)) == want
         rows.append(
             {
                 "target_bytes": target,
                 "pieces": st.pieces,
                 "serial_seconds": cells["serial"],
-                "threads_seconds": cells["threads"],
-                "threads_vs_serial": cells["serial"] / cells["threads"],
+                "vectorized_seconds": cells["vectorized"],
+                "vectorized_vs_serial": cells["serial"] / cells["vectorized"],
             }
         )
     return rows
@@ -86,18 +99,17 @@ def _combined():
             for _ in range(REPEATS):
                 for a in arrays:
                     stream_out_parallel(
-                        a, MemorySink(), P=P,
-                        target_bytes=COMBINED_TARGET, concurrency=mode,
+                        a, _sink(mode), P=P, target_bytes=COMBINED_TARGET,
                     )
             return time.perf_counter() - t0
 
     seed = run(NullPlanCache(), "serial")  # the pre-plancache code path
     cache = PlanCache()
-    run(cache, "threads")  # populate
-    stacked = run(cache, "threads")
+    run(cache, "vectorized")  # populate
+    stacked = run(cache, "vectorized")
     return {
         "seed_serial_seconds": seed,
-        "cached_threads_seconds": stacked,
+        "cached_vectorized_seconds": stacked,
         "speedup": seed / stacked,
         "hit_rate": cache.hit_rate,
         "hits": cache.hits,
@@ -113,7 +125,7 @@ def test_parstream_concurrency_baseline(benchmark, report):
     report("BENCH_parstream.json", json.dumps(payload, indent=1))
 
     assert combined["hit_rate"] > 0.5
-    # cached + concurrent must beat the seed (uncached, serial-loop) path
+    # cached + bulk must beat the seed (uncached, per-piece loop) path
     assert combined["speedup"] > 1.0
     for row in sweep:
         assert row["pieces"] >= P

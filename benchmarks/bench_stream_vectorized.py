@@ -1,18 +1,19 @@
-"""Vectorized streaming benchmark: scalar baseline vs bulk engines.
+"""Vectorized streaming benchmark: scalar baseline vs the parstream paths.
 
 Persists ``BENCH_stream_vec.json``:
 
 * **sweep** — for each piece-size target of the bench_parstream sweep,
   wall-clock of (a) the pre-vectorization scalar serial path (the
   per-piece owner-loop gather reproduced below as the fixed baseline),
-  (b) the new bulk serial engine, (c) the thread-pool engine, and
-  (d) the inline vectorized engine, with byte-identity asserted on
-  every cell;
-* **aggregate** — end-to-end totals over the sweep and the two gating
-  ratios: ``speedup_vs_scalar`` (bulk threads vs the scalar baseline;
-  the acceptance bar is 2x) and ``threads_vs_serial`` (coalesced
-  thread-pool writes vs the per-piece bulk serial loop; must exceed
-  1.0 — on a single-core host the win comes from coalescing m
+  (b) the per-piece round-robin loop (``serial``) and (c) the bulk
+  coalesced path (``vectorized``), with byte-identity asserted on
+  every cell.  Every cell writes into a fresh PIOFS file; the
+  per-piece loop is selected the way production selects it, by an
+  armed (plan-less) fault injector on that PIOFS;
+* **aggregate** — end-to-end totals over the sweep and the two
+  ratios: ``speedup_vs_scalar`` (the bulk path vs the scalar baseline)
+  and the gate ``vectorized_vs_serial`` (coalesced bulk writes vs the
+  per-piece loop; must exceed 1.0 — the win comes from coalescing m
   per-piece ``write_at`` calls into P bulk ones, not from hardware
   parallelism).
 
@@ -29,16 +30,18 @@ import numpy as np
 
 from repro.arrays.darray import DistributedArray
 from repro.arrays.distributions import block_distribution
+from repro.pfs.faults import FaultInjector
+from repro.pfs.piofs import PIOFS
 from repro.plancache import PlanCache, use_plan_cache
 from repro.streaming.parallel import stream_out_parallel
-from repro.streaming.streams import MemorySink
+from repro.streaming.streams import PFSSink
 
 NTASKS = 4
 P = 4
 SWEEP_TARGETS = (1 << 10, 1 << 13, 1 << 16)
 SWEEP_SHAPE = (512, 256)  # 1 MiB of float64
 REPEATS = 3
-ENGINES = ("serial", "threads", "vectorized")
+ENGINES = ("serial", "vectorized")
 
 
 def _array(shape, name="bench"):
@@ -46,6 +49,19 @@ def _array(shape, name="bench"):
     a = DistributedArray(name, shape, np.float64, d)
     a.set_global(np.arange(float(np.prod(shape))).reshape(shape))
     return a
+
+
+def _sink(engine=None):
+    """A fresh PIOFS file sink; ``engine="serial"`` arms a plan-less
+    fault injector, which makes parstream take its per-piece loop."""
+    pfs = PIOFS()
+    if engine == "serial":
+        pfs.attach_faults(FaultInjector())
+    return PFSSink(pfs, "bench")
+
+
+def _stored(sink):
+    return sink.pfs.read_at(sink.name, 0, sink.pfs.file_size(sink.name))
 
 
 def _scalar_stream_out(a, sink, target_bytes, order="F"):
@@ -88,32 +104,32 @@ def run_sweep():
     identical = True
     with use_plan_cache(PlanCache()):
         for target in SWEEP_TARGETS:
-            ref = MemorySink()
+            ref = _sink()
             _scalar_stream_out(a, ref, target)  # also warms the plan
-            want = ref.getvalue()
+            want = _stored(ref)
             row = {
                 "target_bytes": target,
                 "scalar_seconds": _time(
-                    lambda: _scalar_stream_out(a, MemorySink(), target)
+                    lambda: _scalar_stream_out(a, _sink(), target)
                 ),
             }
             for mode in ENGINES:
-                sink = MemorySink()
+                sink = _sink(mode)
                 st = stream_out_parallel(  # warm this engine's plans
-                    a, sink, P=P, target_bytes=target, concurrency=mode
+                    a, sink, P=P, target_bytes=target
                 )
-                identical = identical and sink.getvalue() == want
+                identical = identical and _stored(sink) == want
                 row[f"{mode}_seconds"] = _time(
                     lambda m=mode: stream_out_parallel(
-                        a, MemorySink(), P=P, target_bytes=target, concurrency=m
+                        a, _sink(m), P=P, target_bytes=target
                     )
                 )
                 row["pieces"] = st.pieces
-            row["threads_vs_serial"] = (
-                row["serial_seconds"] / row["threads_seconds"]
+            row["vectorized_vs_serial"] = (
+                row["serial_seconds"] / row["vectorized_seconds"]
             )
-            row["threads_vs_scalar"] = (
-                row["scalar_seconds"] / row["threads_seconds"]
+            row["vectorized_vs_scalar"] = (
+                row["scalar_seconds"] / row["vectorized_seconds"]
             )
             rows.append(row)
     totals = {
@@ -122,8 +138,8 @@ def run_sweep():
     }
     aggregate = {
         "totals_seconds": totals,
-        "speedup_vs_scalar": totals["scalar"] / totals["threads"],
-        "threads_vs_serial": totals["serial"] / totals["threads"],
+        "speedup_vs_scalar": totals["scalar"] / totals["vectorized"],
+        "vectorized_vs_serial": totals["serial"] / totals["vectorized"],
         "byte_identical": identical,
     }
     return {"sweep": rows, "aggregate": aggregate}
@@ -133,9 +149,9 @@ def check(payload):
     """The two gates of the ``--check`` mode."""
     agg = payload["aggregate"]
     assert agg["byte_identical"], "engine output diverged from the scalar baseline"
-    assert agg["threads_vs_serial"] > 1.0, (
-        f"coalesced thread engine lost to the per-piece serial loop "
-        f"({agg['threads_vs_serial']:.3f}x)"
+    assert agg["vectorized_vs_serial"] > 1.0, (
+        f"coalesced bulk path lost to the per-piece serial loop "
+        f"({agg['vectorized_vs_serial']:.3f}x)"
     )
 
 
@@ -160,8 +176,8 @@ def main(argv):
         except AssertionError as exc:
             print(f"FAIL: {exc}", file=sys.stderr)
             return 1
-        print("OK: byte-identical; threads_vs_serial "
-              f"{payload['aggregate']['threads_vs_serial']:.2f}x, "
+        print("OK: byte-identical; vectorized_vs_serial "
+              f"{payload['aggregate']['vectorized_vs_serial']:.2f}x, "
               "vs scalar baseline "
               f"{payload['aggregate']['speedup_vs_scalar']:.2f}x")
     return 0

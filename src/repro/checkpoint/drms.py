@@ -153,18 +153,11 @@ def drms_checkpoint(
     io_tasks: Optional[int] = None,
     target_bytes: int = 1 << 20,
     app_name: str = "",
-    concurrency: str = "threads",
     tier: str = "pfs",
     l1=None,
     drain=None,
 ) -> CheckpointBreakdown:
     """Write a reconfigurable checkpoint under ``prefix``.
-
-    ``concurrency`` selects the parstream executor (``"threads"`` runs
-    the P I/O tasks on a thread pool, ``"vectorized"`` the same bulk
-    pipeline inline without a pool, ``"serial"`` the deterministic
-    per-piece round-robin loop); output bytes are identical in every
-    engine.
 
     ``tier`` selects the checkpoint store: ``"pfs"`` (default) writes
     the PFS directly; ``"memory"`` captures into the in-memory L1 store
@@ -236,7 +229,6 @@ def drms_checkpoint(
                 pfs.begin_phase(IOKind.WRITE_PARALLEL)
                 stats = stream_out_parallel(
                     a, sink, P=io_tasks, order=order, target_bytes=target_bytes,
-                    concurrency=concurrency, digest=True,
                 )
                 res = pfs.end_phase()
                 obs.advance(res.seconds)
@@ -295,7 +287,6 @@ def drms_restart(
     target_bytes: int = 1 << 20,
     distribution_overrides: Optional[Dict[str, object]] = None,
     verify: bool = True,
-    concurrency: str = "threads",
     tier: str = "pfs",
     l1=None,
 ) -> Tuple[RestoredState, RestartBreakdown]:
@@ -438,7 +429,6 @@ def drms_restart(
                 pfs.begin_phase(IOKind.READ_PARALLEL)
                 stats = stream_in_parallel(
                     arr, source, P=io_tasks, order=order, target_bytes=target_bytes,
-                    concurrency=concurrency,
                 )
                 res = pfs.end_phase()
                 obs.advance(res.seconds)

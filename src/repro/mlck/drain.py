@@ -2,7 +2,7 @@
 
 After an L1 capture the application continues immediately; the drain
 promotes the generation to the parallel file system in the background,
-on the shared :mod:`repro.streaming.executor` thread pool — so the slow
+on a small shared thread pool (:func:`submit_task`) — so the slow
 PFS write (the paper's dominant checkpoint cost, Table 6) overlaps the
 next SOPs instead of stalling them.
 
@@ -34,9 +34,10 @@ deterministic mode the verify oracle and the benchmarks use.
 
 from __future__ import annotations
 
+import contextvars
 import threading
-from concurrent.futures import Future
-from typing import Dict, List, Optional
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Callable, Dict, List, Optional
 
 from repro.checkpoint.drms import drms_checkpoint
 from repro.checkpoint.rotation import CheckpointRotation
@@ -45,9 +46,31 @@ from repro.errors import CheckpointError
 from repro.mlck.store import L1Store
 from repro.obs import get_flight, get_tracer
 from repro.pfs.piofs import PIOFS
-from repro.streaming.executor import submit_task
 
 __all__ = ["DrainState", "DrainController"]
+
+#: pool width: drains of one controller serialize on its lock, so this
+#: only bounds how many controllers (workflow members) drain at once
+_POOL_WIDTH = 8
+
+_pool: Optional[ThreadPoolExecutor] = None
+_pool_lock = threading.Lock()
+
+
+def submit_task(task: Callable[[], object]) -> Future:
+    """Run ``task`` on the shared drain pool and return its Future.
+    Pool threads are reused across drains, so a periodic checkpointer
+    never pays thread startup.  The task runs in a copy of the
+    submitting thread's :mod:`contextvars` context, so it observes the
+    caller's scopes (notably ``strict_gather``) instead of whatever
+    context the pool thread last ran in."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(
+                max_workers=_POOL_WIDTH, thread_name_prefix="mlck-drain"
+            )
+    return _pool.submit(contextvars.copy_context().run, task)
 
 
 class DrainState:
@@ -123,7 +146,7 @@ class DrainController:
 
     def schedule(self, prefix: str, clock: float = 0.0) -> Optional[Future]:
         """Queue the drain of ``prefix``.  Asynchronous mode returns the
-        Future running on the shared streaming pool; synchronous mode
+        Future running on the shared drain pool; synchronous mode
         drains inline and returns None.  ``clock`` stamps the backlog
         entry for the health gauges."""
         gen = self.store.gen(prefix)

@@ -37,11 +37,6 @@ METRIC_FAMILIES: List[Tuple[str, str, str]] = [
         "per-operation phase breakdown totals published by the engines",
     ),
     (
-        "comm",
-        r"comm\.(bytes|messages)",
-        "communication-tracer totals (runtime.trace)",
-    ),
-    (
         "events",
         rf"events\.{_SEG}",
         "bridged EventLog tallies, one counter per event kind (obs.bridge)",

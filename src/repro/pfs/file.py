@@ -102,7 +102,13 @@ class PFSFile:
                 f"{self.name!r} of size {self._size}"
             )
         stored_end = min(offset + nbytes, len(self._data))
-        out = bytes(self._data[offset:stored_end]) if stored_end > offset else b""
+        if stored_end > offset:
+            # one copy, straight out of the store; the view is released
+            # before returning so the bytearray can grow again
+            with memoryview(self._data) as view:
+                out = bytes(view[offset:stored_end])
+        else:
+            out = b""
         if len(out) < nbytes:  # sparse tail reads back as zeros
             out += b"\x00" * (nbytes - len(out))
         return out

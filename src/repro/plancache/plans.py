@@ -13,8 +13,8 @@ plancache.cache.PlanCache`:
 * :func:`piece_offsets` — the running-sum byte offsets of a partition;
 * :func:`section_index_plan` — the box plan of a bulk gather/scatter
   (``streaming/vectorized.py``), keyed by the distribution fingerprint;
-* :func:`streaming_plan` — the (pieces, offsets) pair the parstream
-  executor needs, as one composite entry.
+* :func:`streaming_plan` — the (pieces, offsets) pair a parstream
+  operation needs, as one composite entry.
 
 The wrapped functions stay pure and uncached in their home modules;
 callers that want memoization import from here.  Results that callers

@@ -11,39 +11,34 @@ pieces.  The output is byte-identical to serial streaming; only the
 access pattern differs, which is why parallel streaming requires a
 seekable sink.
 
-Execution engines (the ``concurrency`` parameter):
+Every operation moves the section through one flat buffer with one
+bulk vectorized gather (or scatter) over the cached box plans
+(:mod:`repro.streaming.vectorized`).  How that buffer reaches the
+endpoint is chosen from observable state only:
 
-* ``"threads"`` (default) — the section is bulk-gathered once through
-  the cached box plans (:mod:`repro.streaming.vectorized`),
-  the nonempty pieces are coalesced into at most P stream-contiguous
-  byte runs of near-equal volume, and the P I/O tasks run as a thread
-  pool, each issuing **one** bulk ``write_at``/``read_at`` for its run.
+* **bulk path** (the default) — the nonempty pieces are coalesced into
+  at most P stream-contiguous byte runs of near-equal volume, and I/O
+  task ``p`` issues **one** ``write_at``/``read_at`` for run ``p``.
   Empty pieces occupy zero bytes, so the nonempty pieces are
   byte-contiguous in stream order and every run is a single interval.
-* ``"vectorized"`` — the same bulk-gather + coalesced-run pipeline,
-  executed inline on the calling thread: no pool dispatch, the right
-  choice when cores are scarce or the caller is already a pool worker.
-* ``"serial"`` — the deterministic per-piece round-robin loop.  Also
-  entered automatically (from either other mode) when the sink's PFS
-  has fault injection armed: fault plans address the *nth matching
-  write*, which only means something over a deterministic write
-  sequence, so the per-piece write granularity and ``j % P`` client
-  attribution are preserved exactly.
+  Writes pass a ``memoryview`` of the gathered buffer: every sink
+  copies into its own store anyway.
+* **per-piece loop** — one transfer per piece, in plan order, with
+  ``j % P`` client attribution.  Taken when the endpoint's PFS has a
+  fault injector armed (fault plans address the *nth matching write*,
+  which only means something over the per-piece write sequence), for
+  virtual (geometry-only) arrays (nothing to gather; the per-piece
+  transfer granularity is what the simulated Class-A baselines
+  account), and when there are no pieces.
 
-Correctness relies on three structural facts: pieces are disjoint in
-the global index space (gather/scatter never race on an element),
-offsets are disjoint in the stream (writes never race on a byte), and
-sinks serialize internal bookkeeping behind their own locks.  Because
-every piece's bytes and offset are fixed by the plan, all engines are
-byte-identical for every interleaving — the property the verify oracle
-checks, made cheap to compare by the ``content_sha1`` op-span
-attribute: an order-stable digest-of-digests over the per-piece SHA-1s,
-computed identically (and always, including the serial fallback) in
-every engine.
-
-Virtual (geometry-only) arrays keep the legacy per-piece round-robin
-paths in every mode: there is nothing to gather, and the per-piece
-transfer granularity is what the simulated Class-A baselines account.
+The P I/O tasks are modelled by the ``client`` of each transfer, which
+drives the simulated PIOFS phase clock; on the host both paths run
+inline on the calling thread.  Because every piece's bytes and offset
+are fixed by the plan, both paths write the same bytes at the same
+offsets.  The outbound stream is hashed once: ``StreamStats.stream_sha1``
+(and the op span's ``content_sha1`` attribute) is the SHA-1 of the
+gathered stream — ``b""`` for an empty section, None for virtual
+arrays — which is also the manifest checksum of a DRMS checkpoint.
 
 ``P`` may be anything from 1 (fully serial) to the number of tasks;
 tasks beyond ``P`` still participate in redistribution (their assigned
@@ -61,7 +56,6 @@ from repro.arrays.darray import DistributedArray
 from repro.arrays.slices import Slice
 from repro.errors import StreamingError
 from repro.obs import get_tracer
-from repro.streaming.executor import faults_armed, run_tasks
 from repro.streaming.order import check_order
 from repro.streaming.serial import (
     StreamStats,
@@ -78,9 +72,6 @@ from repro.streaming.vectorized import (
 )
 
 __all__ = ["stream_out_parallel", "stream_in_parallel"]
-
-#: accepted values for the ``concurrency`` parameter
-_MODES = ("threads", "serial", "vectorized")
 
 
 def _plan(
@@ -100,70 +91,56 @@ def _plan(
             f"I/O task count P={P} must be within 1..{ntasks} (the task pool)"
         )
     pieces, offsets = _cached_plan(section, darray.itemsize, target_bytes, P, order)
-    return section, P, pieces, offsets
+    jobs = [(j, piece) for j, piece in enumerate(pieces) if not piece.is_empty]
+    return section, P, pieces, offsets, jobs
 
 
-def _check_mode(concurrency: str) -> str:
-    if concurrency not in _MODES:
-        raise StreamingError(
-            f"unknown concurrency mode {concurrency!r}; expected one of {_MODES}"
-        )
-    return concurrency
+def faults_armed(endpoint) -> bool:
+    """True when ``endpoint`` (a sink or source) is backed by a PFS
+    with a fault injector armed: fault plans address the *nth matching
+    write*, so the operation must keep the per-piece write sequence."""
+    pfs = getattr(endpoint, "pfs", None)
+    return pfs is not None and getattr(pfs, "faults", None) is not None
+
+
+def _pick_engine(darray, endpoint, jobs) -> str:
+    """``"vectorized"`` (the bulk path) unless the endpoint has faults
+    armed, the array is virtual, or there is nothing to move — then
+    ``"serial"``, the per-piece round-robin loop."""
+    if faults_armed(endpoint) or not jobs or not darray.store_data:
+        return "serial"
+    return "vectorized"
 
 
 def _coalesced_runs(
-    jobs: List[Tuple[int, Slice]], itemsize: int, P: int
-) -> List[List[Tuple[int, Slice]]]:
+    jobs: List[Tuple[int, Slice]], offsets, itemsize: int, P: int
+) -> List[Tuple[int, int, int]]:
     """Split the nonempty pieces into at most ``P`` stream-contiguous
     runs of near-equal byte volume — run ``p`` is I/O task ``p``'s
-    single bulk transfer."""
+    single bulk transfer, returned as ``(p, offset, nbytes)``."""
     total = sum(piece.size for _, piece in jobs) * itemsize
     target = -(-total // P)  # ceil: every run but the last fills up
-    runs: List[List[Tuple[int, Slice]]] = []
-    cur: List[Tuple[int, Slice]] = []
-    cur_bytes = 0
+    runs: List[Tuple[int, int, int]] = []
+    start = end = offsets[jobs[0][0]]
     for j, piece in jobs:
-        cur.append((j, piece))
-        cur_bytes += piece.size * itemsize
-        if cur_bytes >= target and len(runs) < P - 1:
-            runs.append(cur)
-            cur = []
-            cur_bytes = 0
-    if cur:
-        runs.append(cur)
+        end = offsets[j] + piece.size * itemsize
+        if end - start >= target and len(runs) < P - 1:
+            runs.append((len(runs), start, end - start))
+            start = end
+    if end > start:
+        runs.append((len(runs), start, end - start))
     return runs
 
 
-def _content_sha1(digests: List[Tuple[int, str]]) -> str:
-    """Order-stable digest-of-digests: the per-piece SHA-1 hexdigests
-    sorted by piece index, concatenated, hashed — a fingerprint of the
-    piece contents in stream order, cheap to compare across engines."""
-    digests.sort()
-    return hashlib.sha1(
-        "".join(d for _, d in digests).encode("ascii")
-    ).hexdigest()
-
-
-def _stream_sha1(
-    darray: DistributedArray, flat_u8, digest: bool
-) -> Optional[str]:
-    """Digest of a gathered stream when asked for (None for virtual
-    arrays, which gather nothing; an empty section hashes ``b""``)."""
-    if not (digest and darray.store_data):
-        return None
-    return hashlib.sha1(b"" if flat_u8 is None else flat_u8).hexdigest()
-
-
-def _pick_engine(darray, endpoint, concurrency: str, jobs) -> str:
-    """Resolve the execution engine for this operation.  Fault plans
-    force the deterministic serial loop.  Virtual arrays always take
-    the per-piece loop in every mode: there is nothing to gather, the
-    per-piece transfer granularity and ``j % P`` client attribution are
-    what the simulated Class-A phase baselines account, and the
-    simulated timing is thread-independent anyway."""
-    if faults_armed(endpoint) or not jobs or not darray.store_data:
-        return "serial"
-    return concurrency
+def _transfers(
+    engine: str, jobs, offsets, itemsize: int, P: int
+) -> List[Tuple[int, int, int]]:
+    """The ``(I/O task, stream offset, nbytes)`` transfers of one
+    operation: the coalesced runs on the bulk path, one per piece
+    (round-robin rounds of ``P``) on the per-piece loop."""
+    if engine == "vectorized":
+        return _coalesced_runs(jobs, offsets, itemsize, P)
+    return [(j % P, offsets[j], piece.size * itemsize) for j, piece in jobs]
 
 
 def stream_out_parallel(
@@ -173,114 +150,59 @@ def stream_out_parallel(
     P: Optional[int] = None,
     order: str = "F",
     target_bytes: int = 1 << 20,
-    concurrency: str = "threads",
-    digest: bool = False,
 ) -> StreamStats:
-    """Stream ``darray[section]`` out with ``P`` parallel I/O tasks;
-    with ``digest`` the stats carry the SHA-1 of the gathered stream
-    (the intended bytes, whatever reaches the sink)."""
-    _check_mode(concurrency)
+    """Stream ``darray[section]`` out with ``P`` parallel I/O tasks; the
+    stats carry the SHA-1 of the gathered stream (the intended bytes,
+    whatever reaches the sink)."""
     if not getattr(sink, "seekable", True) and (P or darray.ntasks) > 1:
         raise StreamingError(
             "parallel streaming requires a seekable sink; use serial "
             "streaming for sequential channels"
         )
-    section, P, pieces, offsets = _plan(darray, section, P, order, target_bytes)
-    jobs = [(j, piece) for j, piece in enumerate(pieces) if not piece.is_empty]
-    engine = _pick_engine(darray, sink, concurrency, jobs)
+    section, P, pieces, offsets, jobs = _plan(
+        darray, section, P, order, target_bytes
+    )
+    engine = _pick_engine(darray, sink, jobs)
     itemsize = darray.itemsize
-    obs = get_tracer()
     total = 0
     redis = 0
-    digests: List[Tuple[int, str]] = []
+    sha1 = None
     plan_idx = _cached_index_plan(darray.distribution, section, order, "assigned")
-    flat_u8 = None
-    with obs.span(
+    with get_tracer().span(
         "stream.out.parallel",
         array=darray.name,
         io_tasks=P,
-        concurrency=engine,
+        engine=engine,
         plan_pieces=len(pieces),
     ) as op:
-        if engine in ("threads", "vectorized"):
-            # Bulk path (data-bearing arrays only): one vectorized
-            # gather of the whole section, then at most P coalesced
-            # writes — run p covers a contiguous byte interval of the
-            # stream, so each I/O task issues a single write_at.
-            # Worker threads open no spans: the tracer's span stacks
-            # are per-thread, so worker spans would surface as
-            # parentless roots.  Per-run accounting is aggregated.
-            flat = gather_section_flat(
-                darray, section, order=order,
-                strict=_strict_default(), plan=plan_idx,
-            )
-            flat_u8 = flat.view(np.uint8)
-            runs = _coalesced_runs(jobs, itemsize, P)
-
-            def io_task(p: int):
-                run = runs[p]
-                start = offsets[run[0][0]]
-                nbytes = sum(piece.size for _, piece in run) * itemsize
-                t_digests = []
-                for j, piece in run:
-                    t_digests.append((
-                        j,
-                        hashlib.sha1(
-                            flat_u8[offsets[j]:offsets[j] + piece.size * itemsize]
-                        ).hexdigest(),
-                    ))
-                sink.write_at(
-                    start, flat_u8[start:start + nbytes].tobytes(), client=p
-                )
-                t_redis = range_redistribution_bytes(
-                    plan_idx, start // itemsize, (start + nbytes) // itemsize,
-                    p, itemsize,
-                )
-                return nbytes, t_redis, t_digests
-
-            thunks = [lambda p=p: io_task(p) for p in range(len(runs))]
-            results = (
-                run_tasks(thunks)
-                if engine == "threads"
-                else [t() for t in thunks]
-            )
-            for t_bytes, t_redis, d in results:
-                total += t_bytes
-                redis += t_redis
-                digests.extend(d)
-        else:
-            # Deterministic per-piece round-robin loop: the write
-            # sequence and the j % P client attribution are what fault
-            # plans and the simulated phase baselines address.
-            if darray.store_data and jobs:
-                flat = gather_section_flat(
+        view = None
+        if darray.store_data and jobs:
+            view = memoryview(
+                gather_section_flat(
                     darray, section, order=order,
                     strict=_strict_default(), plan=plan_idx,
-                )
-                flat_u8 = flat.view(np.uint8)
-            for j, piece in jobs:
-                p = j % P  # I/O task for this piece (round-robin rounds of P)
-                nbytes = piece.size * itemsize
-                lo = offsets[j] // itemsize
-                redis += range_redistribution_bytes(
-                    plan_idx, lo, lo + piece.size, p, itemsize
-                )
-                if flat_u8 is not None:
-                    data = flat_u8[offsets[j]:offsets[j] + nbytes].tobytes()
-                    digests.append((j, hashlib.sha1(data).hexdigest()))
-                    sink.write_at(offsets[j], data, client=p)
-                else:
-                    sink.write_at(offsets[j], None, nbytes=nbytes, client=p)
-                total += nbytes
-        if darray.store_data and digests:
-            op.set(content_sha1=_content_sha1(digests))
+                ).view(np.uint8)
+            )
+        for p, start, nbytes in _transfers(engine, jobs, offsets, itemsize, P):
+            redis += range_redistribution_bytes(
+                plan_idx, start // itemsize, (start + nbytes) // itemsize,
+                p, itemsize,
+            )
+            if view is None:
+                sink.write_at(start, None, nbytes=nbytes, client=p)
+            else:
+                sink.write_at(start, view[start:start + nbytes], client=p)
+            total += nbytes
+        if darray.store_data:
+            sha1 = hashlib.sha1(b"" if view is None else view).hexdigest()
+            op.set(content_sha1=sha1)
         op.set(pieces=len(jobs), nbytes=total, redistribution_bytes=redis)
     return StreamStats(
         pieces=len(jobs),
         bytes_streamed=total,
         redistribution_bytes=redis,
         io_tasks=P,
-        stream_sha1=_stream_sha1(darray, flat_u8, digest),
+        stream_sha1=sha1,
     ).publish("out", engine="parstream")
 
 
@@ -292,82 +214,45 @@ def stream_in_parallel(
     order: str = "F",
     target_bytes: int = 1 << 20,
     source_offset: int = 0,
-    concurrency: str = "threads",
 ) -> StreamStats:
     """Stream a section into ``darray`` with ``P`` parallel I/O tasks.
     The inverse of :func:`stream_out_parallel`: task ``p`` reads its
-    pieces at their stream offsets, then one bulk scatter delivers the
-    section to every task mapping part of it.  Concurrent reads fill
-    disjoint intervals of the flat buffer, so they never race; the
-    scatter is applied once, after every read returned whole — a short
-    read aborts with the target array untouched."""
-    _check_mode(concurrency)
-    section, P, pieces, offsets = _plan(darray, section, P, order, target_bytes)
-    jobs = [(j, piece) for j, piece in enumerate(pieces) if not piece.is_empty]
-    engine = _pick_engine(darray, source, concurrency, jobs)
+    pieces (or its coalesced run) at their stream offsets into disjoint
+    intervals of one flat buffer, then one bulk scatter delivers the
+    section to every task mapping part of it.  The scatter is applied
+    once, after every read returned whole — a short read aborts with
+    the target array untouched."""
+    section, P, pieces, offsets, jobs = _plan(
+        darray, section, P, order, target_bytes
+    )
+    engine = _pick_engine(darray, source, jobs)
     itemsize = darray.itemsize
-    obs = get_tracer()
     total = 0
     redis = 0
     plan_idx = _cached_index_plan(darray.distribution, section, order, "assigned")
-    with obs.span(
+    with get_tracer().span(
         "stream.in.parallel",
         array=darray.name,
         io_tasks=P,
-        concurrency=engine,
+        engine=engine,
         plan_pieces=len(pieces),
     ) as op:
-        if engine in ("threads", "vectorized"):
+        flat = view = None
+        if darray.store_data and jobs:
             flat = np.empty(section.size, dtype=darray.dtype)
-            flat_u8 = flat.view(np.uint8)
-            runs = _coalesced_runs(jobs, itemsize, P)
-
-            def io_task(p: int):
-                run = runs[p]
-                start = offsets[run[0][0]]
-                nbytes = sum(piece.size for _, piece in run) * itemsize
-                data = source.read_at(source_offset + start, nbytes, client=p)
-                _require_full_read(data, nbytes, source, darray.store_data)
-                flat_u8[start:start + nbytes] = np.frombuffer(data, dtype=np.uint8)
-                t_redis = range_redistribution_bytes(
-                    plan_idx, start // itemsize, (start + nbytes) // itemsize,
-                    p, itemsize,
-                )
-                return nbytes, t_redis
-
-            thunks = [lambda p=p: io_task(p) for p in range(len(runs))]
-            results = (
-                run_tasks(thunks)
-                if engine == "threads"
-                else [t() for t in thunks]
+            view = memoryview(flat.view(np.uint8))
+        for p, start, nbytes in _transfers(engine, jobs, offsets, itemsize, P):
+            redis += range_redistribution_bytes(
+                plan_idx, start // itemsize, (start + nbytes) // itemsize,
+                p, itemsize,
             )
-            for t_bytes, t_redis in results:
-                total += t_bytes
-                redis += t_redis
+            data = source.read_at(source_offset + start, nbytes, client=p)
+            _require_full_read(data, nbytes, source, darray.store_data)
+            if view is not None:
+                view[start:start + nbytes] = data
+            total += nbytes
+        if flat is not None:
             scatter_section_flat(darray, section, flat, order=order)
-        else:
-            flat = (
-                np.empty(section.size, dtype=darray.dtype)
-                if darray.store_data and jobs
-                else None
-            )
-            flat_u8 = flat.view(np.uint8) if flat is not None else None
-            for j, piece in jobs:
-                p = j % P
-                nbytes = piece.size * itemsize
-                lo = offsets[j] // itemsize
-                redis += range_redistribution_bytes(
-                    plan_idx, lo, lo + piece.size, p, itemsize
-                )
-                data = source.read_at(source_offset + offsets[j], nbytes, client=p)
-                _require_full_read(data, nbytes, source, darray.store_data)
-                if flat_u8 is not None:
-                    flat_u8[offsets[j]:offsets[j] + nbytes] = np.frombuffer(
-                        data, dtype=np.uint8
-                    )
-                total += nbytes
-            if flat is not None:
-                scatter_section_flat(darray, section, flat, order=order)
         op.set(pieces=len(jobs), nbytes=total, redistribution_bytes=redis)
     return StreamStats(
         pieces=len(jobs),

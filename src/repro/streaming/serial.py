@@ -22,9 +22,9 @@ element inside a gathered piece raises instead — the verify oracle
 enables this for cases whose arrays are fully defined, turning silent
 zero-fill of data that *should* exist into a hard failure.  The scope
 is a :class:`contextvars.ContextVar`: concurrent streaming ops on
-other threads (an mlck async drain riding the shared executor pool)
-never observe a strictness scope they are not inside, and the executor
-propagates the submitting thread's context to its workers.
+other threads (an mlck async drain) never observe a strictness scope
+they are not inside, and the drain pool propagates the submitting
+thread's context to its workers.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ __all__ = [
 ]
 
 #: gather strictness scope; per-context so concurrent streaming ops on
-#: other threads (e.g. an async drain) are unaffected — executor workers
-#: inherit the submitting thread's context (see streaming.executor)
+#: other threads are unaffected — async drain workers inherit the
+#: submitting thread's context (see mlck.drain.submit_task)
 _STRICT_GATHER: contextvars.ContextVar[bool] = contextvars.ContextVar(
     "strict_gather", default=False
 )
@@ -93,8 +93,8 @@ class StreamStats:
     redistribution_bytes: int
     io_tasks: int
     #: SHA-1 hex digest of the whole gathered stream (``b""`` for an
-    #: empty section) when :func:`stream_out_parallel` was asked for it
-    #: (``digest=True``); None otherwise and for virtual arrays
+    #: empty section) on :func:`stream_out_parallel`; None for virtual
+    #: arrays and for the other streaming entry points
     stream_sha1: Optional[str] = None
 
     def publish(self, direction: str, engine: str = "serial") -> "StreamStats":

@@ -6,12 +6,12 @@ parallel streaming writes at computed offsets, so its sink must be
 :class:`MemorySink` models both a seekable buffer and a sequential
 socket/tape-like channel.
 
-Thread safety: the concurrent parstream executor
-(:mod:`repro.streaming.parallel`) issues ``write_at`` calls from a
-thread pool.  :class:`MemorySink` serializes buffer growth behind a
-per-sink lock; :class:`PFSSink` inherits the PIOFS namespace lock.
-Distinct pieces land at distinct offsets, so locking only has to make
-the extend-then-copy sequence atomic — content never races.
+Thread safety: sinks and sources may be shared by threads (SPMD task
+threads, a background drain).  :class:`MemorySink` serializes buffer
+growth behind a per-sink lock; :class:`PFSSink` inherits the PIOFS
+namespace lock.  Distinct pieces land at distinct offsets, so locking
+only has to make the extend-then-copy sequence atomic — content never
+races.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ class MemorySource(ByteSource):
 class PFSSink(ByteSink):
     """Sink writing into a (possibly virtual) PIOFS file.  Concurrent
     ``write_at`` calls are safe: PIOFS serializes behind its namespace
-    lock and the executor writes distinct pieces at distinct offsets."""
+    lock, and parstream writes distinct pieces at distinct offsets."""
 
     def __init__(self, pfs: PIOFS, name: str, virtual: bool = False, create: bool = True):
         self.pfs = pfs

@@ -40,6 +40,7 @@ All violations of one case are collected into a single
 
 from __future__ import annotations
 
+import hashlib
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -69,7 +70,7 @@ from repro.streaming.order import stream_order_bytes
 from repro.streaming.parallel import stream_out_parallel
 from repro.streaming.partition import partition_for_target, piece_offsets
 from repro.streaming.serial import strict_gather
-from repro.streaming.streams import MemorySink
+from repro.streaming.streams import PFSSink
 from repro.verify.case import Case, FaultEvent
 
 __all__ = ["CaseResult", "VerifyFailure", "run_case", "replay_case"]
@@ -261,23 +262,28 @@ def _gather_strictness(arrays):
 
 
 def _check_cross_engine(c: _Checker, arrays) -> None:
-    """Every parstream engine must emit byte-identical streams with
-    matching ``content_sha1`` digests.  Each real-data array is streamed
-    through serial, threaded, and vectorized executors into memory
-    sinks under throwaway tracers; the bytes must equal the
-    distribution-independent ``stream_order_bytes`` reference and the
-    op spans' digests must agree across engines."""
+    """Both parstream paths must emit byte-identical streams hashed to
+    one digest.  Each real-data array is streamed into a PIOFS file
+    twice under throwaway tracers: on a healthy file system (the bulk
+    path) and with an armed, plan-less fault injector (the per-piece
+    loop, selected the way production selects it).  The bytes must
+    equal the distribution-independent ``stream_order_bytes``
+    reference, and the op span's ``content_sha1`` must equal the
+    returned ``stream_sha1`` and the SHA-1 of that reference."""
     for arr in arrays:
         if not arr.store_data:
             continue
         ref = stream_order_bytes(arr.to_global(fill=0), "F")
+        want = hashlib.sha1(ref).hexdigest()
         digests = {}
-        for engine in ("serial", "threads", "vectorized"):
+        for engine in ("vectorized", "serial"):
+            pfs = PIOFS()
+            if engine == "serial":
+                pfs.attach_faults(FaultInjector())
             with use_tracer(Tracer()) as t:
-                sink = MemorySink()
-                stream_out_parallel(arr, sink, concurrency=engine)
+                st = stream_out_parallel(arr, PFSSink(pfs, arr.name))
             c.check(
-                sink.getvalue() == ref,
+                pfs.read_at(arr.name, 0, pfs.file_size(arr.name)) == ref,
                 f"{engine} stream of {arr.name!r} diverges from the "
                 f"serial-order reference bytes",
             )
@@ -292,6 +298,12 @@ def _check_cross_engine(c: _Checker, arrays) -> None:
                 f"{len(shas)} content_sha1 digests, expected 1",
             )
             digests[engine] = shas[0] if shas else None
+            c.check(
+                digests[engine] == st.stream_sha1 == want,
+                f"{engine} stream of {arr.name!r}: content_sha1 "
+                f"{digests[engine]}, stream_sha1 {st.stream_sha1}, "
+                f"reference {want}",
+            )
         c.check(
             len(set(digests.values())) == 1,
             f"content_sha1 diverges across engines for {arr.name!r}: "

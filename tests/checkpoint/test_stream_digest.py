@@ -1,6 +1,8 @@
 """The manifest checksum is the digest of the stream the parstream
 gathered: equal to hashing the canonical stream of ``to_global()``,
-for every engine, holes zero-filled, and ``b""`` for an empty array."""
+on the bulk path and the per-piece loop alike, holes zero-filled, and
+``b""`` for an empty array.  The op span's ``content_sha1`` is the
+same digest."""
 
 import hashlib
 
@@ -17,7 +19,8 @@ from repro.pfs.piofs import PIOFS
 from repro.runtime.machine import Machine, MachineParams
 from repro.streaming.order import stream_order_bytes
 from repro.streaming.parallel import stream_out_parallel
-from repro.streaming.streams import MemorySink, PFSSink
+from repro.streaming.streams import PFSSink
+from tests.streaming.paths import ENGINES, stream_out_via
 
 
 def _arrays():
@@ -37,31 +40,33 @@ def _canonical_sha1(arr, order):
 
 
 @pytest.mark.parametrize("order", ["F", "C"])
-@pytest.mark.parametrize("engine", ["serial", "threads", "vectorized"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_stream_sha1_is_the_canonical_digest(order, engine):
     for arr in _arrays():
-        st = stream_out_parallel(
-            arr, MemorySink(), P=2, order=order, target_bytes=16,
-            concurrency=engine, digest=True,
+        got, st, op = stream_out_via(
+            engine, arr, P=2, order=order, target_bytes=16
         )
+        assert got == stream_order_bytes(arr.to_global(), order), arr.name
         assert st.stream_sha1 == _canonical_sha1(arr, order), arr.name
+        assert op.attrs["content_sha1"] == st.stream_sha1, arr.name
 
 
-def test_digest_is_opt_in_and_none_for_virtual_arrays():
-    arr = _arrays()[0]
-    assert stream_out_parallel(arr, MemorySink(), P=2).stream_sha1 is None
+def test_digest_is_none_for_virtual_arrays():
     virtual = DistributedArray(
         "v", (7, 6), np.float64, block_distribution((7, 6), 2), store_data=False
     )
     sink = PFSSink(PIOFS(), "v", virtual=True)
-    st = stream_out_parallel(virtual, sink, P=2, digest=True)
+    st = stream_out_parallel(virtual, sink, P=2)
     assert st.stream_sha1 is None
 
 
 def test_empty_array_hashes_empty_bytes():
     arr = _arrays()[2]
-    st = stream_out_parallel(arr, MemorySink(), P=2, digest=True)
-    assert st.stream_sha1 == hashlib.sha1(b"").hexdigest()
+    for engine in ENGINES:
+        got, st, op = stream_out_via(engine, arr, P=2)
+        assert got == b""
+        assert op.attrs["content_sha1"] == st.stream_sha1
+        assert st.stream_sha1 == hashlib.sha1(b"").hexdigest()
 
 
 @pytest.mark.parametrize("order", ["F", "C"])

@@ -149,6 +149,31 @@ def test_async_drain_overlaps_and_completes(env, workload):
     assert validate_checkpoint(pfs, "ck.000001").ok
 
 
+def test_drain_workers_inherit_strict_scope(env, workload):
+    """Drain pool tasks run in a copy of the scheduling thread's
+    context, and an async drain scheduled inside ``use_tracer`` records
+    its spans on that tracer."""
+    from repro.mlck.drain import submit_task
+    from repro.obs import Tracer, use_tracer
+    from repro.streaming.serial import _strict_default, strict_gather
+
+    with strict_gather():
+        assert submit_task(_strict_default).result(timeout=30.0) is True
+    assert submit_task(_strict_default).result(timeout=30.0) is False
+
+    machine, pfs, store = env
+    seg, arrays = workload()
+    store.capture_drms("ck.000001", seg, arrays)
+    drainer = DrainController(store, pfs, synchronous=False)
+    with use_tracer(Tracer()) as t:
+        drainer.schedule("ck.000001")
+        drainer.wait(timeout=30.0)
+    assert store.gen("ck.000001").drain_state == DrainState.DURABLE
+    names = [s.name for s in t.spans]
+    assert "checkpoint" in names
+    assert names.count("stream.out.parallel") == len(arrays)
+
+
 def test_async_drain_pins_the_fallback_committed_before_it(env, workload, monkeypatch):
     """A drain queued behind a still-running one pins the generation that
     running drain commits: the fallback is chosen when the drain starts,

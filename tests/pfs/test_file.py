@@ -70,6 +70,19 @@ class TestDataFiles:
         assert f.read_at(0, 4) == b"ab\x00\x00"
         assert f.read_at(100, 2) == b"\x00\x00"
 
+    def test_read_is_an_immutable_snapshot(self):
+        f = make()
+        f.write_at(0, b"abcd")
+        f.write_at(4, None, nbytes=3)
+        got = f.read_at(1, 6)
+        assert type(got) is bytes
+        assert got == b"bcd\x00\x00\x00"  # sparse tail reads as zeros
+        # a later write at the same offset (growing the store past the
+        # sparse tail) leaves the returned bytes as they were
+        f.write_at(1, b"XYZWVU")
+        assert got == b"bcd\x00\x00\x00"
+        assert f.read_at(1, 6) == b"XYZWVU"
+
     def test_sparse_needs_nbytes(self):
         with pytest.raises(PFSError):
             make().write_at(0, None)

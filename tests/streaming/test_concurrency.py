@@ -1,15 +1,16 @@
-"""Stress tests for the concurrent parstream executor.
+"""Byte-identity of the parstream paths against serial streaming.
 
-The contract under test is byte-identity: whatever the interleaving of
-the thread-pool workers, parallel stream-out produces exactly the bytes
-of serial stream-out, and parallel stream-in reconstructs exactly the
-global content — because every piece's bytes and offset are fixed by
-the plan before any worker runs.
+Parallel stream-out produces exactly the bytes of serial stream-out on
+both of its paths — the bulk coalesced runs and the per-piece loop
+fault plans select — and hashes them to the SHA-1 of that stream;
+parallel stream-in reconstructs exactly the global content on both
+paths, because every piece's bytes and offset are fixed by the plan.
 
 The quick matrix runs in tier-1; the ``verify``-marked sweep widens
 seeds and P for the differential harness run (``make verify-reconfig``).
 """
 
+import hashlib
 import random
 
 import numpy as np
@@ -17,11 +18,12 @@ import pytest
 
 from repro.arrays.darray import DistributedArray
 from repro.streaming.order import stream_order_bytes
-from repro.streaming.parallel import stream_in_parallel, stream_out_parallel
+from repro.streaming.parallel import stream_in_parallel
 from repro.streaming.partition import partition_for_target, piece_offsets
 from repro.streaming.serial import gather_piece, stream_in_serial, stream_out_serial
 from repro.streaming.streams import MemorySink, MemorySource
 from repro.verify.gen import random_distribution, random_shape
+from tests.streaming.paths import ENGINES, source_via, stream_out_via
 
 
 def _random_array(seed: int, ntasks: int) -> DistributedArray:
@@ -40,30 +42,32 @@ def _roundtrip(seed: int, ntasks: int, P: int, target: int) -> None:
     ref = MemorySink()
     stream_out_serial(a, ref, target_bytes=target)
     want = ref.getvalue()
+    assert want == stream_order_bytes(a.to_global(fill=0), "F")
+    sha = hashlib.sha1(want).hexdigest()
 
-    threaded = MemorySink()
-    st = stream_out_parallel(a, threaded, P=P, target_bytes=target)
-    assert threaded.getvalue() == want
-    assert st.bytes_streamed == len(want)
-
-    serial_mode = MemorySink()
-    stream_out_parallel(a, serial_mode, P=P, target_bytes=target, concurrency="serial")
-    assert serial_mode.getvalue() == want
+    for engine in ENGINES:
+        got, st, op = stream_out_via(engine, a, P=P, target_bytes=target)
+        assert got == want, engine
+        assert st.bytes_streamed == len(want)
+        assert op.attrs["content_sha1"] == st.stream_sha1 == sha, engine
 
     # read back into a different random distribution (which may be a
-    # legitimately partial INDEXED one), concurrently and serially: the
-    # two restored arrays must agree exactly, and must match the source
+    # legitimately partial INDEXED one) on both paths and serially: the
+    # restored arrays must agree exactly, and must match the source
     # everywhere the target distribution defines an element
     b_dist = random_distribution(random.Random(seed + 9001), list(a.shape), ntasks)
-    b_par = DistributedArray("Bp", a.shape, np.float64, b_dist)
-    stream_in_parallel(b_par, MemorySource(want), P=P, target_bytes=target)
     b_ser = DistributedArray("Bs", a.shape, np.float64, b_dist)
     stream_in_serial(b_ser, MemorySource(want), target_bytes=target)
-    np.testing.assert_array_equal(b_par.to_global(fill=0), b_ser.to_global(fill=0))
-    mask = b_par.defined_mask()
-    np.testing.assert_array_equal(
-        b_par.to_global(fill=0)[mask], a.to_global(fill=0)[mask]
-    )
+    mask = b_ser.defined_mask()
+    for engine in ENGINES:
+        b_par = DistributedArray("Bp", a.shape, np.float64, b_dist)
+        stream_in_parallel(b_par, source_via(engine, want), P=P, target_bytes=target)
+        np.testing.assert_array_equal(
+            b_par.to_global(fill=0), b_ser.to_global(fill=0)
+        )
+        np.testing.assert_array_equal(
+            b_par.to_global(fill=0)[mask], a.to_global(fill=0)[mask]
+        )
 
 
 class TestConcurrentParstream:
@@ -85,8 +89,9 @@ class TestConcurrentParstream:
 
 class TestRandomizedPieceOrdering:
     """Writing pieces at their precomputed offsets in *any* order must
-    reproduce the serial stream — the invariant that makes the
-    thread-pool interleaving irrelevant."""
+    reproduce the serial stream — the invariant that lets the bulk path
+    coalesce pieces into runs and the per-piece loop write them
+    round-robin."""
 
     @pytest.mark.parametrize("seed", [31, 32, 33])
     def test_shuffled_manual_writes(self, seed):

@@ -51,7 +51,7 @@ class TestPayloadValidation:
 
 class TestMemorySinkConcurrency:
     def test_concurrent_disjoint_writes(self):
-        # the executor's access pattern: distinct offsets, many threads
+        # SPMD task threads sharing one sink: distinct offsets, many threads
         sink = MemorySink()
         chunk = 257
         n = 16

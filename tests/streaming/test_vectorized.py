@@ -7,6 +7,7 @@ against them, including on degenerate geometry — zero-extent sections,
 empty pieces, partially-covered INDEXED axes, single-element arrays.
 """
 
+import hashlib
 import threading
 
 import numpy as np
@@ -24,7 +25,6 @@ from repro.arrays.slices import Slice
 from repro.errors import StreamingError
 from repro.obs import Tracer, use_tracer
 from repro.pfs.piofs import PIOFS
-from repro.streaming.executor import run_tasks
 from repro.streaming.order import stream_order_bytes
 from repro.streaming.parallel import stream_in_parallel, stream_out_parallel
 from repro.streaming.serial import (
@@ -41,6 +41,7 @@ from repro.streaming.vectorized import (
     range_redistribution_bytes,
     scatter_section_flat,
 )
+from tests.streaming.paths import ENGINES, source_via, stream_out_via
 
 
 # -- scalar references (the pre-vectorization loops, verbatim shape) --------
@@ -228,31 +229,16 @@ class TestStreamingFixes:
             th.join()
         assert seen["worker"] is False
 
-    def test_executor_workers_inherit_strict_scope(self):
-        with strict_gather():
-            # two thunks forces the pool path (one thunk runs inline)
-            got = run_tasks([_strict_default, _strict_default])
-        assert got == [True, True]
-        assert run_tasks([_strict_default, _strict_default]) == [False, False]
-
     def test_serial_fallback_sets_content_sha1(self):
         g = np.arange(24.0).reshape(6, 4)
         a = DistributedArray("A", (6, 4), np.float64, block_distribution((6, 4), 4))
         a.set_global(g)
-        digests = {}
-        for engine in ("serial", "threads", "vectorized"):
-            with use_tracer(Tracer()) as t:
-                stream_out_parallel(
-                    a, MemorySink(), P=4, target_bytes=32, concurrency=engine
-                )
-            shas = [
-                s.attrs["content_sha1"]
-                for s in t.spans
-                if "content_sha1" in s.attrs
-            ]
-            assert len(shas) == 1, engine
-            digests[engine] = shas[0]
-        assert len(set(digests.values())) == 1, digests
+        want = g.flatten(order="F").tobytes()
+        for engine in ENGINES:
+            got, st, op = stream_out_via(engine, a, P=4, target_bytes=32)
+            assert got == want, engine
+            assert op.attrs["content_sha1"] == st.stream_sha1, engine
+            assert st.stream_sha1 == hashlib.sha1(want).hexdigest(), engine
 
 
 @pytest.mark.streamvec
@@ -266,26 +252,31 @@ class TestEngineSweep:
         )
         a.set_global(g)
         want = g.flatten(order=order).tobytes()
-        for engine in ("serial", "threads", "vectorized"):
-            sink = MemorySink()
-            st = stream_out_parallel(
-                a, sink, P=4, order=order, target_bytes=target, concurrency=engine
+        assert want == stream_order_bytes(g, order)
+        for engine in ENGINES:
+            got, st, op = stream_out_via(
+                engine, a, P=4, order=order, target_bytes=target
             )
-            assert sink.getvalue() == want, engine
+            assert got == want, engine
             assert st.io_tasks == 4
+            assert op.attrs["content_sha1"] == st.stream_sha1, engine
+            assert st.stream_sha1 == hashlib.sha1(want).hexdigest(), engine
 
     def test_round_trip_across_engines_and_distributions(self):
         g = np.arange(20 * 9, dtype=np.float64).reshape(20, 9)
         a = DistributedArray("R", (20, 9), np.float64, block_distribution((20, 9), 3))
         a.set_global(g)
         sink = MemorySink()
-        stream_out_parallel(a, sink, P=3, target_bytes=64, concurrency="vectorized")
-        for engine in ("serial", "threads", "vectorized"):
+        stream_out_parallel(a, sink, P=3, target_bytes=64)
+        for engine in ENGINES:
             d2 = Distribution((20, 9), [Cyclic(), Cyclic()], 5)
             b = DistributedArray("R2", (20, 9), np.float64, d2)
-            stream_in_parallel(
-                b, MemorySource(sink.getvalue()), P=4,
-                target_bytes=64, concurrency=engine,
-            )
+            with use_tracer(Tracer()) as t:
+                stream_in_parallel(
+                    b, source_via(engine, sink.getvalue()), P=4,
+                    target_bytes=64,
+                )
+            (op,) = [s for s in t.spans if s.name == "stream.in.parallel"]
+            assert op.attrs["engine"] == engine
             assert np.array_equal(b.to_global(), g), engine
             assert b.is_consistent()
