@@ -1,6 +1,6 @@
 PYTHON ?= python
 
-.PHONY: install test perfbench-test verify-checkpoints verify-mlck verify-localized verify-policy verify-workflow verify-reconfig verify-reconfig-deep bench bench-baseline bench-stream bench-obs bench-localized bench-workflow bench-fleet report trace obs-report forensics-demo examples all clean
+.PHONY: install test perfbench-test verify-checkpoints verify-mlck verify-localized verify-policy verify-workflow verify-reconfig verify-reconfig-deep verify-all bench bench-baseline bench-stream bench-obs bench-localized bench-workflow bench-fleet report trace obs-report forensics-demo examples all clean
 
 # fixed seed so the gate is fully deterministic; DEEP_SEED rotates daily
 VERIFY_SEED ?= 20260806
@@ -59,6 +59,20 @@ verify-reconfig:
 		--cases 220 --fault-cases 40 --out verify_out
 	PYTHONPATH=src $(PYTHON) -m repro.verify known-bad
 	PYTHONPATH=src $(PYTHON) -m pytest -m "verify or streamvec" tests/
+
+# every oracle mode at VERIFY_SEED, stdout only, into one file: the
+# byte-identical-before-and-after check of a consolidation is this
+# target on both trees plus `diff` of the two summaries
+verify-all:
+	mkdir -p verify_out
+	{ PYTHONPATH=src $(PYTHON) -m repro.verify run --seed $(VERIFY_SEED) \
+		--cases 220 --fault-cases 40 --out verify_out && \
+	PYTHONPATH=src $(PYTHON) -m repro.verify known-bad && \
+	for mode in mlck localized workflow; do \
+		PYTHONPATH=src $(PYTHON) -m repro.verify $$mode --seed $(VERIFY_SEED) \
+			--cases 40 --out verify_out || exit 1; \
+	done; } > verify_out/summary.txt
+	@echo "wrote verify_out/summary.txt"
 
 # fresh seed every day, 10x the case volume; failures shrink to
 # replayable JSON reproducers under verify_out/

@@ -37,7 +37,6 @@ from repro.checkpoint.validate import verify_stored_sha1
 from repro.errors import (
     CheckpointError,
     CheckpointIntegrityError,
-    MemoryTierError,
     RestartError,
 )
 from repro.obs import get_tracer
@@ -153,41 +152,10 @@ def drms_checkpoint(
     io_tasks: Optional[int] = None,
     target_bytes: int = 1 << 20,
     app_name: str = "",
-    tier: str = "pfs",
-    l1=None,
-    drain=None,
 ) -> CheckpointBreakdown:
-    """Write a reconfigurable checkpoint under ``prefix``.
-
-    ``tier`` selects the checkpoint store: ``"pfs"`` (default) writes
-    the PFS directly; ``"memory"`` captures into the in-memory L1 store
-    ``l1`` (an :class:`~repro.mlck.store.L1Store`) only;
-    ``"memory+pfs"`` captures into L1 and promotes to the PFS through a
-    drain — the given :class:`~repro.mlck.drain.DrainController`, or an
-    inline synchronous drain when none is supplied.  Memory tiers
-    return the *capture* breakdown (kind ``mlck-l1``): that is what the
-    application blocks on."""
-    if tier != "pfs":
-        if tier not in ("memory", "memory+pfs"):
-            raise CheckpointError(
-                f"unknown checkpoint tier {tier!r} "
-                "(expected 'pfs', 'memory', or 'memory+pfs')"
-            )
-        if l1 is None:
-            raise CheckpointError(f"tier={tier!r} requires an L1Store (l1=)")
-        _, bd = l1.capture_drms(
-            prefix, segment, arrays, order=order, app_name=app_name
-        )
-        if drain is not None:
-            drain.schedule(prefix)
-        elif tier == "memory+pfs":
-            from repro.mlck.drain import DrainController
-
-            DrainController(
-                l1, pfs, synchronous=True,
-                io_tasks=io_tasks, target_bytes=target_bytes,
-            ).schedule(prefix)
-        return bd
+    """Write a reconfigurable checkpoint under ``prefix`` to the PFS.
+    The multi-level store (L1 memory replicas drained to the PFS) is
+    :class:`~repro.mlck.checkpointer.MultiLevelCheckpointer`."""
     names = {a.name for a in arrays}
     if len(names) != len(arrays):
         raise CheckpointError("distributed array names must be unique")
@@ -287,8 +255,6 @@ def drms_restart(
     target_bytes: int = 1 << 20,
     distribution_overrides: Optional[Dict[str, object]] = None,
     verify: bool = True,
-    tier: str = "pfs",
-    l1=None,
 ) -> Tuple[RestoredState, RestartBreakdown]:
     """Restore a DRMS checkpoint onto ``ntasks`` tasks (any count >= 1).
 
@@ -305,38 +271,7 @@ def drms_restart(
     size disagreement, *before* corrupt data reaches the application.
     Verification reads are untimed (they model a background scrub, not
     the restart's I/O phases).
-
-    ``tier``/``l1`` extend restart to the multi-level store:
-    ``"memory"`` restores from surviving L1 replicas of ``l1`` and
-    raises :class:`~repro.errors.MemoryTierError` when they cannot
-    serve; ``"memory+pfs"`` prefers L1 but falls back to the PFS copy
-    when the L1 generation is lost or invalid.  Both charge the fixed
-    restart initialization exactly like the PFS path.
     """
-    if tier != "pfs":
-        if tier not in ("memory", "memory+pfs"):
-            raise RestartError(
-                f"unknown restart tier {tier!r} "
-                "(expected 'pfs', 'memory', or 'memory+pfs')"
-            )
-        if l1 is None:
-            raise RestartError(f"tier={tier!r} requires an L1Store (l1=)")
-        l1.sync_with_machine()
-        if l1.has(prefix) and l1.validate_generation(prefix).ok:
-            return l1.restore_drms(
-                prefix,
-                ntasks,
-                order=order,
-                distribution_overrides=distribution_overrides,
-                init_seconds=pfs.params.restart_init_s,
-            )
-        if tier == "memory":
-            raise MemoryTierError(
-                f"generation {prefix!r} cannot be served from L1 "
-                "(lost replicas or never captured) and tier='memory' "
-                "forbids the PFS fallback"
-            )
-        # tier == "memory+pfs": fall through to the PFS copy
     manifest = read_manifest(pfs, prefix)
     if manifest.get("kind") != "drms":
         raise RestartError(

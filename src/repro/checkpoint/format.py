@@ -14,9 +14,10 @@ shape, dtype, and a declarative distribution spec that
 task count.  Different prefixes coexist, so an application can keep
 multiple checkpointed states concurrently (paper Section 3).
 
-Crash consistency: a manifest is committed in **two phases** — the JSON
-is written to ``<prefix>.manifest.tmp``, read back and validated, and
-only then atomically renamed to ``<prefix>.manifest``.  Since the
+Crash consistency: a manifest is committed in **two phases**
+(:func:`commit_two_phase`) — the JSON is written to
+``<prefix>.manifest.tmp``, read back and validated, and only then
+atomically renamed to ``<prefix>.manifest``.  Since the
 manifest is written last and its presence marks a complete state, a
 crash (or injected I/O fault) at *any* point of a checkpoint leaves
 either the previous committed manifest or none — never a zero-byte or
@@ -60,6 +61,7 @@ __all__ = [
     "distribution_to_spec",
     "spec_to_distribution",
     "sha1_hex",
+    "commit_two_phase",
     "write_manifest",
     "read_manifest",
 ]
@@ -73,8 +75,9 @@ def manifest_name(prefix: str) -> str:
 
 
 def manifest_tmp_name(prefix: str) -> str:
-    """Staging name of an uncommitted manifest (phase one of the
-    two-phase commit); never matches the ``.manifest`` suffix scans."""
+    """Staging name of an uncommitted manifest (phase one of
+    :func:`commit_two_phase`); never matches the ``.manifest`` suffix
+    scans."""
     return f"{prefix}.manifest.tmp"
 
 
@@ -206,23 +209,17 @@ def sha1_hex(data: bytes) -> str:
     return hashlib.sha1(data).hexdigest()
 
 
-def write_manifest(pfs: PIOFS, prefix: str, manifest: Dict[str, Any]) -> None:
-    """Commit a checkpoint manifest atomically (stamps the format
-    version).
+def commit_two_phase(pfs: PIOFS, name: str, data: bytes) -> None:
+    """Commit ``data`` as the file ``name`` atomically — the one
+    two-phase protocol behind every manifest.
 
-    Two-phase protocol: the JSON is staged to ``<prefix>.manifest.tmp``,
-    read back and compared byte-for-byte (catching torn and short
-    writes), then renamed onto the final ``.manifest`` name.  A crash —
-    or an injected I/O fault — anywhere before the rename leaves no
-    ``.manifest`` file at all, so the half-written state is invisible to
-    :func:`~repro.checkpoint.rotation.latest_checkpoint`; the stale
-    ``.tmp`` still reserves the generation number against reuse.
-    """
-    manifest = dict(manifest)
-    manifest["version"] = CHECKPOINT_VERSION
-    data = json.dumps(manifest, sort_keys=True).encode()
-    name = manifest_name(prefix)
-    tmp = manifest_tmp_name(prefix)
+    The bytes are staged to ``<name>.tmp``, read back and compared
+    byte-for-byte (catching torn and short writes), then renamed onto
+    ``name``.  A crash — or an injected I/O fault — anywhere before the
+    rename leaves no file under ``name`` at all, so scans that list
+    committed names never see a half-written one; the stale ``.tmp``
+    still reserves its generation number against reuse."""
+    tmp = name + ".tmp"
     with get_tracer().span("manifest_commit", file=name, nbytes=len(data)):
         pfs.create(tmp, virtual=False)
         pfs.write_at(tmp, 0, data)
@@ -233,6 +230,17 @@ def write_manifest(pfs: PIOFS, prefix: str, manifest: Dict[str, Any]) -> None:
                 f"{len(back)} bytes, expected {len(data)} (torn write?)"
             )
         pfs.rename(tmp, name)
+
+
+def write_manifest(pfs: PIOFS, prefix: str, manifest: Dict[str, Any]) -> None:
+    """Commit a checkpoint manifest through :func:`commit_two_phase`
+    (stamps the format version).  Until the rename the state is
+    invisible to :func:`~repro.checkpoint.rotation.latest_checkpoint`."""
+    manifest = dict(manifest)
+    manifest["version"] = CHECKPOINT_VERSION
+    commit_two_phase(
+        pfs, manifest_name(prefix), json.dumps(manifest, sort_keys=True).encode()
+    )
 
 
 def read_manifest(pfs: PIOFS, prefix: str) -> Dict[str, Any]:

@@ -31,7 +31,7 @@ from repro.checkpoint.format import (
 )
 from repro.checkpoint.segment import DataSegment, SegmentProfile
 from repro.checkpoint.validate import verify_stored_sha1
-from repro.errors import CheckpointError, MemoryTierError, RestartError
+from repro.errors import CheckpointError, RestartError
 from repro.obs import get_tracer
 from repro.pfs.phase import IOKind
 from repro.pfs.piofs import PIOFS
@@ -72,9 +72,6 @@ def spmd_checkpoint(
     segment_bytes: int,
     payloads: Optional[Sequence[Any]] = None,
     app_name: str = "",
-    tier: str = "pfs",
-    l1=None,
-    drain=None,
 ) -> CheckpointBreakdown:
     """Write one segment file per task, all tasks in one concurrent phase.
 
@@ -83,30 +80,7 @@ def spmd_checkpoint(
     paper measures, hence identical for every task and every run size.
     ``payloads`` carries exact per-task state for functional round
     trips; omitted for size/timing studies.
-
-    ``tier``/``l1``/``drain`` mirror
-    :func:`~repro.checkpoint.drms.drms_checkpoint`: memory tiers
-    capture into the L1 store at memory/switch speed and (for
-    ``"memory+pfs"``) promote to the PFS through a drain.
     """
-    if tier != "pfs":
-        if tier not in ("memory", "memory+pfs"):
-            raise CheckpointError(
-                f"unknown checkpoint tier {tier!r} "
-                "(expected 'pfs', 'memory', or 'memory+pfs')"
-            )
-        if l1 is None:
-            raise CheckpointError(f"tier={tier!r} requires an L1Store (l1=)")
-        _, bd = l1.capture_spmd(
-            prefix, ntasks, segment_bytes, payloads=payloads, app_name=app_name
-        )
-        if drain is not None:
-            drain.schedule(prefix)
-        elif tier == "memory+pfs":
-            from repro.mlck.drain import DrainController
-
-            DrainController(l1, pfs, synchronous=True).schedule(prefix)
-        return bd
     if ntasks < 1:
         raise CheckpointError("SPMD checkpoint needs at least one task")
     if payloads is not None and len(payloads) != ntasks:
@@ -172,8 +146,6 @@ def spmd_restart(
     prefix: str,
     ntasks: int,
     verify: bool = True,
-    tier: str = "pfs",
-    l1=None,
 ) -> Tuple[SPMDRestoredState, RestartBreakdown]:
     """Restore an SPMD checkpoint.  ``ntasks`` must equal the
     checkpointing task count — the defining limitation of conventional
@@ -183,30 +155,7 @@ def spmd_restart(
     With ``verify`` (the default), each task file's header is checked
     against the manifest's recorded SHA-1 before the payload is
     decoded, raising
-    :class:`~repro.errors.CheckpointIntegrityError` on corruption.
-
-    ``tier``/``l1`` mirror :func:`~repro.checkpoint.drms.drms_restart`:
-    ``"memory"`` serves from surviving L1 replicas only,
-    ``"memory+pfs"`` prefers L1 and falls back to the PFS copy."""
-    if tier != "pfs":
-        if tier not in ("memory", "memory+pfs"):
-            raise RestartError(
-                f"unknown restart tier {tier!r} "
-                "(expected 'pfs', 'memory', or 'memory+pfs')"
-            )
-        if l1 is None:
-            raise RestartError(f"tier={tier!r} requires an L1Store (l1=)")
-        l1.sync_with_machine()
-        if l1.has(prefix) and l1.validate_generation(prefix).ok:
-            return l1.restore_spmd(
-                prefix, ntasks, init_seconds=pfs.params.restart_init_s
-            )
-        if tier == "memory":
-            raise MemoryTierError(
-                f"generation {prefix!r} cannot be served from L1 "
-                "(lost replicas or never captured) and tier='memory' "
-                "forbids the PFS fallback"
-            )
+    :class:`~repro.errors.CheckpointIntegrityError` on corruption."""
     manifest = read_manifest(pfs, prefix)
     if manifest.get("kind") != "spmd":
         raise RestartError(

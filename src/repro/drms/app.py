@@ -24,8 +24,8 @@ from repro.checkpoint.drms import (
     RestartBreakdown,
     RestoredState,
     drms_checkpoint,
-    drms_restart,
 )
+from repro.checkpoint.rotation import _GEN_RE
 from repro.checkpoint.segment import DataSegment, ExecutionContext, SegmentProfile
 from repro.drms.context import DRMSContext
 from repro.drms.soq import SOQSpec
@@ -257,27 +257,41 @@ class DRMSApplication:
 
     # -- multi-level checkpoint store (tier="memory+pfs") --------------------
 
+    def _checkpointer(self, base: str):
+        from repro.mlck.checkpointer import MultiLevelCheckpointer
+
+        return MultiLevelCheckpointer(
+            self.pfs,
+            base,
+            machine=self.machine,
+            k=self.mlck_k,
+            keep=self.mlck_keep,
+            order=self.order,
+            target_bytes=self.target_bytes,
+            io_tasks=self.io_tasks,
+            app_name=self.name,
+            events=self.events,
+            drain=self.mlck_drain,
+        )
+
     def mlck_for(self, base: str):
         """The :class:`~repro.mlck.checkpointer.MultiLevelCheckpointer`
         owning generations under ``base`` (created on first use)."""
         if base not in self._mlck:
-            from repro.mlck.checkpointer import MultiLevelCheckpointer
-
-            self._mlck[base] = MultiLevelCheckpointer(
-                self.pfs,
-                base,
-                machine=self.machine,
-                k=self.mlck_k,
-                keep=self.mlck_keep,
-                order=self.order,
-                target_bytes=self.target_bytes,
-                io_tasks=self.io_tasks,
-                app_name=self.name,
-                events=self.events,
-                drain=self.mlck_drain,
-            )
+            self._mlck[base] = self._checkpointer(base)
             self._mlck[base].drainer.health = self.health
         return self._mlck[base]
+
+    def _restorer(self, prefix: str):
+        """The checkpointer that restores ``prefix``: the one whose L1
+        store holds it, else an unregistered one over an empty store
+        (a PFS-tier application, or a state no longer in memory),
+        which reads the PFS."""
+        for ck in self._mlck.values():
+            if ck.store.has(prefix):
+                return ck
+        m = _GEN_RE.match(prefix)
+        return self._checkpointer(m.group("base") if m else prefix)
 
     def l1_store_for(self, base: str):
         """The L1 store under ``base``, or None (PFS-tier application,
@@ -401,47 +415,9 @@ class DRMSApplication:
         from surviving L1 memory replicas when they validate — no PFS
         checkpoint read at all — and from the PFS copy otherwise."""
         self.soq.check(ntasks)
-        state = bd = None
-        if self.tier == "memory+pfs":
-            for ck in self._mlck.values():
-                if ck.store.has(prefix):
-                    ck.store.sync_with_machine()
-                    if ck.store.validate_generation(prefix).ok:
-                        state, bd = ck.store.restore_drms(
-                            prefix,
-                            ntasks,
-                            init_seconds=self.pfs.params.restart_init_s,
-                        )
-                    break
-        if state is None:
-            state, bd = drms_restart(
-                self.pfs,
-                prefix,
-                ntasks,
-                order=self.order,
-                io_tasks=self.io_tasks,
-                target_bytes=self.target_bytes,
-            )
-        runtime = AppRuntime(
-            self,
-            ntasks,
-            restored=state,
-            pending_clock_charge=bd.total_seconds,
-        )
-        self._last_runtime = runtime
-        result = self._execute(ntasks, runtime, args, kwargs, nodes)
-        report = RunReport(
-            ntasks=ntasks,
-            returns=result.returns,
-            sim_elapsed=result.elapsed,
-            checkpoints=runtime.checkpoints,
-            restarted_from=prefix,
-            restart_breakdown=bd,
-            replicated=dict(runtime.replicated),
-            arrays=dict(runtime.arrays),
-        )
-        self.runs.append(report)
-        return report
+        ck = self._restorer(prefix)
+        state, bd = ck.restore(ck.decision_for(prefix), ntasks)
+        return self._resume(prefix, ntasks, state, bd, args, kwargs, nodes)
 
     def restart_localized(
         self,
@@ -464,56 +440,20 @@ class DRMSApplication:
         the L1 generation cannot serve (the failure took every copy of
         some piece), survivors' own state of that generation is gone
         too, and the restart degrades to a full, metered PFS read."""
-        from repro.mlck.localized import (
-            compute_rebuild_scope,
-            localized_restore_drms,
-            rereplicate_after_failure,
-        )
-        from repro.obs import get_tracer
-
         self.soq.check(ntasks)
-        placement = dict(placement or {})
-        replacements = dict(replacements or {})
-        state = bd = scope = None
-        if self.tier == "memory+pfs":
-            for ck in self._mlck.values():
-                if ck.store.has(prefix):
-                    ck.store.sync_with_machine()
-                    if ck.store.validate_generation(prefix).ok:
-                        state, bd, scope = localized_restore_drms(
-                            ck.store, prefix, ntasks,
-                            placement, failed_nodes,
-                            replacements=replacements,
-                            init_seconds=self.pfs.params.restart_init_s,
-                        )
-                        avoid = sorted(
-                            {
-                                self.machine.domain_of(n)
-                                for n in replacements.values()
-                                if 0 <= n < self.machine.num_nodes
-                            }
-                        )
-                        rereplicate_after_failure(
-                            ck.store, failed_nodes, avoid_domains=avoid
-                        )
-                    break
-        if state is None:
-            state, bd = drms_restart(
-                self.pfs,
-                prefix,
-                ntasks,
-                order=self.order,
-                io_tasks=self.io_tasks,
-                target_bytes=self.target_bytes,
-            )
-            scope = compute_rebuild_scope(
-                dict(state.manifest, prefix=prefix),
-                ntasks, placement, failed_nodes,
-                replacements=replacements, order=self.order,
-            )
-            get_tracer().metrics.counter(
-                "mlck.localized.pfs_fallbacks"
-            ).inc()
+        ck = self._restorer(prefix)
+        state, bd, scope = ck.restore_localized(
+            ck.decision_for(prefix), ntasks,
+            dict(placement or {}), failed_nodes,
+            replacements=dict(replacements or {}),
+        )
+        return self._resume(
+            prefix, ntasks, state, bd, args, kwargs, nodes, scope=scope
+        )
+
+    def _resume(self, prefix, ntasks, state, bd, args, kwargs, nodes, scope=None):
+        """Run the application on ``ntasks`` tasks from a restored
+        ``state``, charging the restore's simulated seconds."""
         runtime = AppRuntime(
             self,
             ntasks,

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.checkpoint.format import manifest_name
+from repro.checkpoint.recover import RecoveryDecision
 from repro.drms.app import DRMSApplication, RunReport
 from repro.errors import ReconfigurationError, RestartError
 from repro.pfs.piofs import PIOFS
@@ -151,7 +152,7 @@ class MPMDApplication:
         (un-rotated coordinated checkpoints), that set *is* the logical
         generation.  Otherwise the components checkpointed under
         rotating generation numbers, and the set is resolved through the
-        workflow-manifest validation walk
+        recovery walk over joint rotation numbers
         (:func:`~repro.workflow.manifest.newest_consistent_generations`):
         the newest number at which every component verifies, torn
         numbers rejected as a unit."""
@@ -172,12 +173,10 @@ class MPMDApplication:
             self.pfs, exact, l1_stores
         )
         if resolved is None:
-            detail = "; ".join(
-                f"gen {g}: {errs[0]}" for g, errs in rejected[:3]
-            )
             raise RestartError(
                 f"no MPMD generation under {prefix!r} has every "
-                "component byte-valid" + (f" ({detail})" if detail else "")
+                "component byte-valid"
+                + RecoveryDecision(prefix, rejected=rejected).rejection_detail()
             )
         return resolved
 

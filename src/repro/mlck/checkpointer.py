@@ -13,13 +13,17 @@ One object owns the whole multi-level pipeline for one application:
 SOP proceeds while the drain writes the PFS — and ``restart()`` runs
 the tier-aware recovery walk, restoring from surviving memory replicas
 when possible and falling back to the newest byte-valid PFS state.
+:meth:`MultiLevelCheckpointer.restore` and
+:meth:`~MultiLevelCheckpointer.restore_localized` are the one place a
+recovery decision becomes an L1 or PFS restore; the application's
+restart paths call them too.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.arrays.darray import DistributedArray
 from repro.checkpoint.drms import (
@@ -28,7 +32,7 @@ from repro.checkpoint.drms import (
     RestoredState,
     drms_restart,
 )
-from repro.checkpoint.recover import RecoveryDecision
+from repro.checkpoint.recover import Member, RecoveryDecision, validate_member
 from repro.checkpoint.rotation import _GEN_RE, CheckpointRotation
 from repro.checkpoint.segment import DataSegment
 from repro.errors import RestartError
@@ -88,6 +92,7 @@ class MultiLevelCheckpointer:
         self.machine = machine or pfs.machine
         self.order = order
         self.io_tasks = io_tasks
+        self.target_bytes = target_bytes
         self.app_name = app_name
         self.events = events
         self.rotation = CheckpointRotation(pfs, base, keep=keep)
@@ -184,64 +189,64 @@ class MultiLevelCheckpointer:
             events=self.events, clock=clock, job=job,
         )
 
-    def restart(
+    def decision_for(self, prefix: str) -> RecoveryDecision:
+        """The decision to restore exactly ``prefix``: from this store's
+        L1 replicas when they verify, else from the PFS copy (which the
+        restore verifies as it reads)."""
+        tier = None
+        if self.store.has(prefix):
+            tier, _, _ = validate_member(
+                self.pfs, Member(prefix, ("l1",), self.store)
+            )
+        return RecoveryDecision(base=self.base, key=prefix, tier=tier or "l2")
+
+    def restore(
         self,
+        decision: RecoveryDecision,
         ntasks: int,
         distribution_overrides: Optional[Dict[str, object]] = None,
-        clock: float = 0.0,
-        job: Optional[str] = None,
         verify: bool = True,
-    ) -> Tuple[RestoredState, RestartBreakdown, RecoveryDecision]:
-        """Restore the newest generation satisfiable from any tier onto
-        ``ntasks`` tasks.  L1-served restores still charge the fixed
-        restart initialization (program text loads from the PFS
-        regardless of which tier serves the checkpoint data)."""
-        decision = self.select_restart_state(clock=clock, job=job)
-        if decision.prefix is None:
-            detail = "; ".join(
-                f"{p}: {errs[0]}" for p, errs in decision.rejected[:3]
-            )
-            raise RestartError(
-                f"no checkpoint under {self.base!r} passes validation on "
-                "any tier" + (f" ({detail})" if detail else "")
-            )
+    ) -> Tuple[RestoredState, RestartBreakdown]:
+        """Turn a recovery decision into a restore onto ``ntasks``
+        tasks: from surviving L1 replicas when the decision's tier is
+        ``"l1"``, else from the PFS.  L1-served restores still charge
+        the fixed restart initialization (program text loads from the
+        PFS regardless of which tier serves the checkpoint data)."""
         if decision.tier == "l1":
-            state, bd = self.store.restore_drms(
+            return self.store.restore_drms(
                 decision.prefix, ntasks,
                 order=self.order,
                 distribution_overrides=distribution_overrides,
                 init_seconds=self.pfs.params.restart_init_s,
             )
-        else:
-            state, bd = drms_restart(
-                self.pfs, decision.prefix, ntasks,
-                order=self.order, io_tasks=self.io_tasks,
-                distribution_overrides=distribution_overrides,
-                verify=verify,
-            )
-        return state, bd, decision
+        return drms_restart(
+            self.pfs, decision.prefix, ntasks,
+            order=self.order, io_tasks=self.io_tasks,
+            target_bytes=self.target_bytes,
+            distribution_overrides=distribution_overrides,
+            verify=verify,
+        )
 
-    def restart_localized(
+    def restore_localized(
         self,
+        decision: RecoveryDecision,
         ntasks: int,
         placement: Dict[int, int],
         failed_nodes: Sequence[int],
         replacements: Optional[Dict[int, int]] = None,
         distribution_overrides: Optional[Dict[str, object]] = None,
         clock: float = 0.0,
-        job: Optional[str] = None,
         verify: bool = True,
     ):
-        """Localized recovery: restore the newest satisfiable
-        generation with survivor-local cost accounting
-        (:func:`~repro.mlck.localized.localized_restore_drms`), then
-        re-place the dead nodes' replicas outside the replacement
-        nodes' failure domains.  When the walk lands on the L2 tier
-        (surviving replicas cannot serve — e.g. a whole-frame loss took
-        every copy of some piece), the survivors' own L1 state of that
-        generation is gone too, so recovery degrades to a full,
-        correctly-metered PFS read of the newest byte-valid generation.
-        Returns ``(state, breakdown, decision, scope)``."""
+        """Localized restore of a decision: survivor-local cost
+        accounting (:func:`~repro.mlck.localized.localized_restore_drms`)
+        and re-placement of the dead nodes' replicas outside the
+        replacement nodes' failure domains.  An ``"l2"`` decision means
+        surviving replicas cannot serve — e.g. a whole-frame loss took
+        every copy of some piece — so the survivors' own L1 state of
+        that generation is gone too, and recovery degrades to a full,
+        correctly-metered PFS read.  Returns ``(state, breakdown,
+        scope)``."""
         from repro.mlck.localized import (
             compute_rebuild_scope,
             localized_restore_drms,
@@ -249,15 +254,6 @@ class MultiLevelCheckpointer:
         )
         from repro.obs import get_tracer
 
-        decision = self.select_restart_state(clock=clock, job=job)
-        if decision.prefix is None:
-            detail = "; ".join(
-                f"{p}: {errs[0]}" for p, errs in decision.rejected[:3]
-            )
-            raise RestartError(
-                f"no checkpoint under {self.base!r} passes validation on "
-                "any tier" + (f" ({detail})" if detail else "")
-            )
         if decision.tier == "l1":
             state, bd, scope = localized_restore_drms(
                 self.store, decision.prefix, ntasks,
@@ -277,23 +273,69 @@ class MultiLevelCheckpointer:
             rereplicate_after_failure(
                 self.store, failed_nodes, avoid_domains=avoid, clock=clock
             )
-        else:
-            state, bd = drms_restart(
-                self.pfs, decision.prefix, ntasks,
-                order=self.order, io_tasks=self.io_tasks,
-                distribution_overrides=distribution_overrides,
-                verify=verify,
+            return state, bd, scope
+        state, bd = self.restore(
+            decision, ntasks,
+            distribution_overrides=distribution_overrides, verify=verify,
+        )
+        scope = compute_rebuild_scope(
+            dict(state.manifest, prefix=decision.prefix),
+            ntasks, placement, failed_nodes,
+            replacements=replacements,
+            order=self.order,
+            distribution_overrides=distribution_overrides,
+        )
+        get_tracer().metrics.counter("mlck.localized.pfs_fallbacks").inc()
+        return state, bd, scope
+
+    def _select_or_raise(self, clock: float, job: Optional[str]) -> RecoveryDecision:
+        decision = self.select_restart_state(clock=clock, job=job)
+        if decision.prefix is None:
+            raise RestartError(
+                f"no checkpoint under {self.base!r} passes validation on "
+                "any tier" + decision.rejection_detail()
             )
-            scope = compute_rebuild_scope(
-                dict(state.manifest, prefix=decision.prefix),
-                ntasks, placement, failed_nodes,
-                replacements=replacements,
-                order=self.order,
-                distribution_overrides=distribution_overrides,
-            )
-            get_tracer().metrics.counter(
-                "mlck.localized.pfs_fallbacks"
-            ).inc()
+        return decision
+
+    def restart(
+        self,
+        ntasks: int,
+        distribution_overrides: Optional[Dict[str, object]] = None,
+        clock: float = 0.0,
+        job: Optional[str] = None,
+        verify: bool = True,
+    ) -> Tuple[RestoredState, RestartBreakdown, RecoveryDecision]:
+        """Restore the newest generation satisfiable from any tier onto
+        ``ntasks`` tasks (:meth:`select_restart_state`, then
+        :meth:`restore`)."""
+        decision = self._select_or_raise(clock, job)
+        state, bd = self.restore(
+            decision, ntasks,
+            distribution_overrides=distribution_overrides, verify=verify,
+        )
+        return state, bd, decision
+
+    def restart_localized(
+        self,
+        ntasks: int,
+        placement: Dict[int, int],
+        failed_nodes: Sequence[int],
+        replacements: Optional[Dict[int, int]] = None,
+        distribution_overrides: Optional[Dict[str, object]] = None,
+        clock: float = 0.0,
+        job: Optional[str] = None,
+        verify: bool = True,
+    ):
+        """Localized recovery: :meth:`select_restart_state`, then
+        :meth:`restore_localized` of the newest satisfiable generation.
+        Returns ``(state, breakdown, decision, scope)``."""
+        decision = self._select_or_raise(clock, job)
+        state, bd, scope = self.restore_localized(
+            decision, ntasks, placement, failed_nodes,
+            replacements=replacements,
+            distribution_overrides=distribution_overrides,
+            clock=clock, verify=verify,
+        )
         return state, bd, decision, scope
 
     # -- drain control -------------------------------------------------------

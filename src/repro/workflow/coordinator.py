@@ -46,6 +46,7 @@ from repro.obs import get_tracer
 from repro.obs.flight import GLOBAL_NODE, get_flight
 from repro.pfs.piofs import PIOFS
 from repro.runtime.machine import Machine
+from repro.checkpoint.recover import select_line
 from repro.workflow.manifest import (
     WorkflowDecision,
     check_member_name,
@@ -53,6 +54,7 @@ from repro.workflow.manifest import (
     read_workflow_manifest,
     select_workflow_restart_state,
     workflow_generations,
+    workflow_line,
     write_workflow_manifest,
 )
 
@@ -316,12 +318,9 @@ class WorkflowCoordinator:
         verify and from the PFS otherwise."""
         decision = self._select(generation)
         if decision.generation is None:
-            detail = "; ".join(
-                f"gen {g}: {errs[0]}" for g, errs in decision.rejected[:3]
-            )
             raise WorkflowError(
                 f"no workflow generation under {self.base!r} has every "
-                "member byte-valid" + (f" ({detail})" if detail else "")
+                "member byte-valid" + decision.rejection_detail()
             )
         prefixes = {
             name: entry["prefix"]
@@ -358,19 +357,13 @@ class WorkflowCoordinator:
     def _select(self, generation: Optional[int]) -> WorkflowDecision:
         if generation is None:
             return self.select_restart_line()
-        from repro.workflow.manifest import validate_workflow_line
-
         manifest = read_workflow_manifest(self.pfs, self.base, generation)
-        report = validate_workflow_line(self.pfs, manifest, self._l1_stores())
-        if not report.ok:
-            return WorkflowDecision(
-                base=self.base, generation=None,
-                rejected=[(generation, list(report.errors))],
-            )
-        return WorkflowDecision(
-            base=self.base, generation=generation, manifest=manifest,
-            member_tiers=dict(report.member_tiers),
+        decision = select_line(
+            self.pfs, self.base, [workflow_line(manifest, self._l1_stores())]
         )
+        if decision.generation is not None:
+            decision.manifest = manifest
+        return decision
 
     # -- ensemble execution ---------------------------------------------------
 

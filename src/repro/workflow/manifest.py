@@ -5,19 +5,21 @@ the member checkpoints themselves (ordinary v3 DRMS states, one per
 member under its own prefix) plus one workflow manifest
 ``W.workflow.NNNNNN.manifest`` recording, for every member, the exact
 prefix + task count + iteration captured on the line.  The manifest is
-committed **two-phase** exactly like a v3 member manifest (staged to
-``.tmp``, read back, renamed) and written only after *every* member
-checkpoint of the line succeeded — so its presence marks a complete,
-mutually consistent set, and a crash mid-line leaves the previous
-committed line untouched.
+committed by the same two-phase protocol as a v3 member manifest
+(:func:`~repro.checkpoint.format.commit_two_phase`: staged to ``.tmp``,
+read back, renamed) and written only after *every* member checkpoint of
+the line succeeded — so its presence marks a complete, mutually
+consistent set, and a crash mid-line leaves the previous committed line
+untouched.
 
-Recovery inverts this: :func:`select_workflow_restart_state` walks the
-committed workflow generations newest-to-oldest and picks the first
-whose **every** member state is byte-valid — a torn set (one member's
-generation lost or corrupt) is rejected *as a unit*, never mixed with
-states from another line.  Member validation is tier-aware: a member
-whose L1 memory replicas still hold and verify the generation is served
-from memory, the rest from the PFS.
+Recovery inverts this: :func:`select_workflow_restart_state` turns the
+committed workflow generations into candidate lines for the one
+recovery walk, :func:`~repro.checkpoint.recover.select_line`, which
+picks the newest whose **every** member state is byte-valid — a torn
+set (one member's generation lost or corrupt) is rejected *as a unit*,
+never mixed with states from another line.  Member validation is
+tier-aware: a member whose L1 memory replicas still hold and verify the
+generation is served from memory, the rest from the PFS.
 """
 
 from __future__ import annotations
@@ -27,22 +29,32 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
-from repro.checkpoint.validate import validate_checkpoint
-from repro.errors import CheckpointError, CheckpointIntegrityError, WorkflowError
-from repro.obs import get_tracer
-from repro.obs.flight import GLOBAL_NODE, get_flight
+from repro.checkpoint.format import commit_two_phase
+from repro.checkpoint.recover import (
+    Line,
+    Member,
+    RecoveryDecision,
+    WalkNames,
+    restart_candidates,
+    select_line,
+    validate_line,
+)
+from repro.checkpoint.rotation import _GEN_RE
+from repro.errors import CheckpointError, WorkflowError
 from repro.pfs.piofs import PIOFS
 
 __all__ = [
     "WORKFLOW_VERSION",
     "WorkflowDecision",
     "WorkflowValidation",
+    "WORKFLOW_WALK",
     "check_member_name",
     "newest_consistent_generations",
     "read_workflow_manifest",
     "select_workflow_restart_state",
     "validate_workflow_line",
     "workflow_generations",
+    "workflow_line",
     "workflow_line_prefix",
     "workflow_manifest_name",
     "write_workflow_manifest",
@@ -111,31 +123,17 @@ def workflow_manifest_name(base: str, generation: int) -> str:
 def write_workflow_manifest(
     pfs: PIOFS, base: str, generation: int, manifest: Dict[str, Any]
 ) -> str:
-    """Commit a workflow manifest atomically (stamps the workflow
-    format version); returns the manifest file name.
-
-    Same two-phase protocol as the v3 member manifests: stage to
-    ``.manifest.tmp``, read back byte-for-byte, rename onto the final
-    name.  A crash anywhere before the rename leaves no workflow
-    manifest, so the half-committed line is invisible to
-    :func:`workflow_generations`."""
+    """Commit a workflow manifest through
+    :func:`~repro.checkpoint.format.commit_two_phase` (stamps the
+    workflow format version); returns the manifest file name.  A crash
+    anywhere before the rename leaves no workflow manifest, so the
+    half-committed line is invisible to :func:`workflow_generations`."""
     manifest = dict(manifest)
     manifest["workflow_version"] = WORKFLOW_VERSION
     manifest["base"] = base
     manifest["generation"] = generation
-    data = json.dumps(manifest, sort_keys=True).encode()
     name = workflow_manifest_name(base, generation)
-    tmp = name + ".tmp"
-    with get_tracer().span("workflow_manifest_commit", file=name, nbytes=len(data)):
-        pfs.create(tmp, virtual=False)
-        pfs.write_at(tmp, 0, data)
-        back = pfs.read_at(tmp, 0, pfs.file_size(tmp))
-        if back != data:
-            raise CheckpointIntegrityError(
-                f"workflow manifest {name!r} failed write validation: "
-                f"staged {len(back)} bytes, expected {len(data)} (torn write?)"
-            )
-        pfs.rename(tmp, name)
+    commit_two_phase(pfs, name, json.dumps(manifest, sort_keys=True).encode())
     return name
 
 
@@ -216,22 +214,18 @@ class WorkflowValidation:
         return not self.errors
 
 
-def _validate_member(pfs: PIOFS, prefix: str, l1=None) -> Tuple[Optional[str], List[str]]:
-    """Audit one member state, memory tier first.  Returns the serving
-    tier (``"l1"``/``"l2"``) and the accumulated errors when neither
-    tier can serve."""
-    errors: List[str] = []
-    if l1 is not None and l1.has(prefix):
-        l1.sync_with_machine()
-        report = l1.validate_generation(prefix)
-        if report.ok:
-            return "l1", []
-        errors.extend(f"l1 {prefix}: {e}" for e in report.errors)
-    report = validate_checkpoint(pfs, prefix)
-    if report.ok:
-        return "l2", []
-    errors.extend(f"l2 {prefix}: {e}" for e in report.errors)
-    return None, errors
+def workflow_line(
+    manifest: Mapping[str, Any], l1_stores: Mapping[str, Any]
+) -> Line:
+    """The candidate line a workflow manifest names: each member's
+    recorded prefix, offered from its L1 store when that holds it."""
+    return Line(
+        int(manifest["generation"]),
+        {
+            member: Member.of(entry["prefix"], l1_stores.get(member))
+            for member, entry in manifest.get("members", {}).items()
+        },
+    )
 
 
 def validate_workflow_line(
@@ -243,42 +237,28 @@ def validate_workflow_line(
     is ``ok`` only when all members verify; ``member_tiers`` records
     which tier would serve each member (L1 memory replicas preferred,
     per member — a mixed-tier restart is normal)."""
-    l1_stores = dict(l1_stores or {})
-    result = WorkflowValidation(generation=int(manifest["generation"]))
-    for member, entry in sorted(manifest.get("members", {}).items()):
-        tier, errors = _validate_member(
-            pfs, entry["prefix"], l1=l1_stores.get(member)
-        )
-        if tier is None:
-            result.errors.append(f"{member}: " + "; ".join(errors[:2]))
-        else:
-            result.member_tiers[member] = tier
-    if not manifest.get("members"):
-        result.errors.append("workflow manifest names no members")
-    return result
+    line = workflow_line(manifest, dict(l1_stores or {}))
+    member_tiers, _, errors = validate_line(pfs, line)
+    return WorkflowValidation(line.key, member_tiers, errors)
 
 
-# -- recovery walk ------------------------------------------------------------
+# -- recovery walks -----------------------------------------------------------
 
+#: one decision type for every walk
+WorkflowDecision = RecoveryDecision
 
-@dataclass
-class WorkflowDecision:
-    """Outcome of a workflow recovery walk under ``base``."""
-
-    base: str
-    #: the chosen generation, or None when no line verified
-    generation: Optional[int]
-    #: the chosen line's manifest (None when nothing verified)
-    manifest: Optional[Dict[str, Any]] = None
-    #: member -> serving tier for the chosen line
-    member_tiers: Dict[str, str] = field(default_factory=dict)
-    #: (generation, errors) for every newer line rejected as a unit
-    rejected: List[Tuple[int, List[str]]] = field(default_factory=list)
-
-    @property
-    def fell_back(self) -> bool:
-        """True when the chosen line is not the newest committed one."""
-        return self.generation is not None and bool(self.rejected)
+WORKFLOW_WALK = WalkNames(
+    span="workflow_recovery_walk",
+    key="generation",
+    rejected="workflow_line_rejected",
+    verified="workflow_line_verified",
+    fallback="workflow_restart_fallback",
+    verified_counter="workflow.lines.verified",
+    rejected_counter="workflow.lines.rejected",
+    fallback_counter="workflow.lines.fallback",
+    tier_counter="workflow.restore.{}",
+    record_verified=True,
+)
 
 
 def select_workflow_restart_state(
@@ -287,7 +267,7 @@ def select_workflow_restart_state(
     l1_stores: Optional[Mapping[str, Any]] = None,
     events=None,
     clock: float = 0.0,
-) -> WorkflowDecision:
+) -> RecoveryDecision:
     """Pick the newest workflow generation whose every member state is
     byte-valid, walking newest-to-oldest and rejecting torn lines *as a
     unit* — one lost or corrupt member never costs less than the whole
@@ -297,63 +277,17 @@ def select_workflow_restart_state(
     :class:`~repro.mlck.store.L1Store` (or None), upgrading per-member
     validation to the tier-aware policy: members whose memory replicas
     verify are served from L1, the rest from the PFS."""
-    decision = WorkflowDecision(base=base, generation=None)
-    obs = get_tracer()
-    fr = get_flight()
-    with obs.span("workflow_recovery_walk", base=base) as sp:
-        lines = list(reversed(workflow_generations(pfs, base)))
-        for gen in lines:
-            manifest = read_workflow_manifest(pfs, base, gen)
-            report = validate_workflow_line(pfs, manifest, l1_stores)
-            if report.ok:
-                decision.generation = gen
-                decision.manifest = manifest
-                decision.member_tiers = dict(report.member_tiers)
-                obs.metrics.counter("workflow.lines.verified").inc()
-                for tier in report.member_tiers.values():
-                    obs.metrics.counter(f"workflow.restore.{tier}").inc()
-                if fr.enabled:
-                    fr.record(
-                        "workflow_line_verified", node=GLOBAL_NODE, time=clock,
-                        base=base, generation=gen,
-                        tiers=dict(report.member_tiers),
-                    )
-                if events is not None:
-                    events.emit(
-                        clock, "workflow_line_verified",
-                        base=base, generation=gen,
-                        tiers=dict(report.member_tiers),
-                    )
-                if decision.rejected:
-                    obs.mark(
-                        "workflow_restart_fallback", chosen=gen,
-                        skipped=[g for g, _ in decision.rejected],
-                    )
-                    obs.metrics.counter("workflow.lines.fallback").inc()
-                    if events is not None:
-                        events.emit(
-                            clock, "workflow_restart_fallback",
-                            base=base, generation=gen,
-                            skipped=[g for g, _ in decision.rejected],
-                        )
-                break
-            decision.rejected.append((gen, list(report.errors)))
-            obs.metrics.counter("workflow.lines.rejected").inc()
-            if fr.enabled:
-                fr.record(
-                    "workflow_line_rejected", node=GLOBAL_NODE, time=clock,
-                    base=base, generation=gen, errors=len(report.errors),
-                )
-            if events is not None:
-                events.emit(
-                    clock, "workflow_line_rejected",
-                    base=base, generation=gen, errors=list(report.errors),
-                )
-        sp.set(
-            lines=len(lines),
-            rejected=len(decision.rejected),
-            chosen=decision.generation,
-        )
+    l1_stores = dict(l1_stores or {})
+    manifests = {
+        gen: read_workflow_manifest(pfs, base, gen)
+        for gen in reversed(workflow_generations(pfs, base))
+    }
+    lines = [workflow_line(m, l1_stores) for m in manifests.values()]
+    decision = select_line(
+        pfs, base, lines, WORKFLOW_WALK,
+        events=events, clock=clock, detail={"base": base},
+    )
+    decision.manifest = manifests.get(decision.generation)
     return decision
 
 
@@ -370,33 +304,25 @@ def newest_consistent_generations(
     line of a component group that rotates checkpoints without workflow
     manifests (:meth:`~repro.drms.mpmd.MPMDApplication.restart`).
 
-    Walks the candidate numbers newest-to-oldest; a number where any
-    member is missing, lost, or corrupt is rejected **as a unit**, so
-    components never silently restart from mixed logical generations.
-    Returns ``({member: prefix}, rejected)`` with ``rejected`` the list
-    of ``(generation, errors)`` skipped, or ``(None, rejected)`` when no
-    number is consistent."""
-    from repro.checkpoint.rotation import _GEN_RE, generations
-
+    A number where any member is missing, lost, or corrupt is rejected
+    **as a unit**, so components never silently restart from mixed
+    logical generations.  Returns ``({member: prefix}, rejected)`` with
+    ``rejected`` the list of ``(generation, errors)`` skipped, or
+    ``(None, rejected)`` when no number is consistent.  Candidates are
+    the rotation numbers any member committed, newest first."""
     l1_stores = dict(l1_stores or {})
-    candidates: set = set()
-    for mbase in bases.values():
-        for prefix in generations(pfs, mbase):
-            candidates.add(int(_GEN_RE.match(prefix).group("gen")))
-    rejected: List[Tuple[int, List[str]]] = []
-    for g in sorted(candidates, reverse=True):
-        resolved: Dict[str, str] = {}
-        errors: List[str] = []
-        for member, mbase in sorted(bases.items()):
-            prefix = f"{mbase}.{g:06d}"
-            tier, errs = _validate_member(
-                pfs, prefix, l1=l1_stores.get(member)
-            )
-            if tier is None:
-                errors.append(f"{member}: " + "; ".join(errs[:2]))
-            else:
-                resolved[member] = prefix
-        if not errors:
-            return resolved, rejected
-        rejected.append((g, errors))
-    return None, rejected
+    numbers = {
+        int(_GEN_RE.match(prefix).group("gen"))
+        for mbase in bases.values()
+        for prefix in restart_candidates(pfs, mbase)
+        if prefix != mbase
+    }
+    lines = [
+        Line(g, {
+            member: Member.of(f"{mbase}.{g:06d}", l1_stores.get(member))
+            for member, mbase in bases.items()
+        })
+        for g in sorted(numbers, reverse=True)
+    ]
+    decision = select_line(pfs, "", lines)
+    return (decision.members if decision.key is not None else None), decision.rejected

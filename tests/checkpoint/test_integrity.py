@@ -17,6 +17,7 @@ from repro.checkpoint.format import (
 )
 from repro.checkpoint.incremental import IncrementalCheckpointer
 from repro.checkpoint.recover import (
+    RecoveryDecision,
     restart_candidates,
     restart_latest_valid,
     select_restart_state,
@@ -309,6 +310,31 @@ class TestRecoverySelection:
             "job.000002"
         ]
 
+    def test_unreadable_newest_manifest_is_rejected_not_skipped(self, env):
+        from repro.mlck.recovery import select_tiered_restart_state
+        from repro.mlck.store import L1Store
+
+        pfs = self._two_generations(env)
+        name = manifest_name("job.000002")
+        pfs.unlink(name)
+        pfs.create(name, virtual=False)
+        pfs.write_at(name, 0, b"{not json")
+        walks = {
+            "pfs": lambda log: select_restart_state(pfs, "job", events=log),
+            "tiered": lambda log: select_tiered_restart_state(
+                pfs, "job", L1Store(pfs.machine), events=log
+            ),
+        }
+        for walk in walks.values():
+            log = EventLog()
+            decision = walk(log)
+            assert decision.prefix == "job.000001"
+            assert [p for p, _ in decision.rejected] == ["job.000002"]
+            assert decision.fell_back
+            assert [e.kind for e in log] == [
+                "checkpoint_rejected", "checkpoint_verified", "restart_fallback",
+            ]
+
     def test_nothing_valid(self, env):
         pfs = self._two_generations(env)
         flip_stored_bit(pfs, "job.000001.array.u", 1)
@@ -324,6 +350,29 @@ class TestRecoverySelection:
         assert decision.prefix == "job.000001"
         assert state.segment.replicated["it"] == 1
         assert np.all(state.arrays["u"].to_global() == 1.0)
+
+    def test_nothing_verifies_detail_names_three_rejections(self, env):
+        pfs, arr, seg = env
+        for g in (1, 2, 3, 4):
+            prefix = f"job.{g:06d}"
+            take(pfs, arr, seg, prefix, g)
+            flip_stored_bit(pfs, f"{prefix}.array.u", 8)
+        with pytest.raises(RestartError) as info:
+            restart_latest_valid(pfs, "job", 2)
+        msg = str(info.value)
+        head = "no checkpoint under 'job' passes validation ("
+        assert msg.startswith(head) and msg.endswith(")")
+        entries = msg[len(head):-1].split("; ")
+        assert [e.split(": ")[0] for e in entries] == [
+            "job.000004", "job.000003", "job.000002",
+        ]
+        decision = RecoveryDecision(
+            base="wf", rejected=[(g, [f"err {g}", "more"]) for g in (9, 8, 7, 6)]
+        )
+        assert decision.rejection_detail() == (
+            " (gen 9: err 9; gen 8: err 8; gen 7: err 7)"
+        )
+        assert RecoveryDecision(base="wf").rejection_detail() == ""
 
     def test_restart_latest_valid_raises_when_dry(self, env):
         pfs, *_ = env

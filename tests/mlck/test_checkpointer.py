@@ -90,3 +90,67 @@ def test_bad_drain_mode_refused(env):
     machine, pfs = env
     with pytest.raises(ValueError):
         MultiLevelCheckpointer(pfs, "ck", machine=machine, drain="lazy")
+
+
+def _lose_first_piece(machine, ck, prefix):
+    gen = ck.store.gen(prefix)
+    pieces = gen.segment_pieces or gen.task_pieces[0]
+    for node in list(pieces[0].replicas):
+        machine.fail_node(node)
+        ck.on_node_failure(node)
+
+
+def test_l1_restart_reads_nothing_from_the_pfs(env, workload):
+    from repro.obs import Tracer, use_tracer
+
+    machine, pfs = env
+    ck = MultiLevelCheckpointer(pfs, "ck", machine=machine, drain="sync")
+    seg, arrays = workload(iteration=2)
+    ck.checkpoint(seg, arrays)
+    with use_tracer(Tracer()) as tracer:
+        state, bd, decision = ck.restart(ntasks=3)
+        reads = tracer.metrics.flat().get("pfs.read.count", 0)
+    assert (decision.tier, bd.kind, reads) == ("l1", "mlck-l1", 0)
+    assert state.segment.serialize() == seg.serialize()
+
+
+def test_l1_loss_restores_every_array_from_the_drained_copy(env, workload):
+    machine, pfs = env
+    ck = MultiLevelCheckpointer(pfs, "ck", machine=machine, drain="sync")
+    seg, arrays = workload(iteration=3)
+    refs = {a.name: a.to_global(fill=0) for a in arrays}
+    mbd = ck.checkpoint(seg, arrays)
+    # the synchronous drain put a durable copy on the PFS
+    assert pfs.exists(f"{mbd.prefix}.manifest")
+    _lose_first_piece(machine, ck, mbd.prefix)
+    state, bd, decision = ck.restart(ntasks=2)
+    assert (decision.tier, bd.kind) == ("l2", "drms")
+    for name, a in state.arrays.items():
+        np.testing.assert_array_equal(a.to_global(fill=0), refs[name])
+
+
+def test_spmd_l1_loss_falls_back_to_durable_tier(env):
+    from repro.checkpoint.spmd import spmd_restart
+
+    machine, pfs = env
+    ck = MultiLevelCheckpointer(pfs, "ck", machine=machine, drain="sync")
+    payloads = [{"rank": t} for t in range(2)]
+    mbd = ck.checkpoint_spmd(2, 1024, payloads=payloads)
+    _lose_first_piece(machine, ck, mbd.prefix)
+    decision = ck.select_restart_state()
+    assert (decision.prefix, decision.tier) == (mbd.prefix, "l2")
+    state, bd = spmd_restart(pfs, decision.prefix, 2)
+    assert bd.kind == "spmd"
+    assert state.payloads == payloads
+
+
+def test_decision_for_an_explicit_prefix(env, workload):
+    machine, pfs = env
+    ck = MultiLevelCheckpointer(pfs, "ck", machine=machine, drain="sync")
+    seg, arrays = workload()
+    prefix = ck.checkpoint(seg, arrays).prefix
+    assert ck.decision_for(prefix).tier == "l1"
+    _lose_first_piece(machine, ck, prefix)
+    assert ck.decision_for(prefix).tier == "l2"
+    # a state this store never held is read from the PFS
+    assert ck.decision_for("elsewhere.000001").tier == "l2"

@@ -1,112 +1,13 @@
-"""The tier= knobs on the checkpoint/restart entry points and the
-application/cluster wiring of tier="memory+pfs"."""
+"""The application-level tier= knob.  The checkpoint and restart engines
+take no tier of their own: the multi-level store is reached through
+:class:`~repro.mlck.checkpointer.MultiLevelCheckpointer`
+(``tests/mlck/test_checkpointer.py``)."""
 
-import numpy as np
 import pytest
 
-from repro.checkpoint.drms import drms_checkpoint, drms_restart
-from repro.checkpoint.spmd import spmd_checkpoint, spmd_restart
-from repro.errors import (
-    CheckpointError,
-    MemoryTierError,
-    ReconfigurationError,
-    RestartError,
-)
-from repro.mlck.store import L1Store
-from repro.pfs.piofs import PIOFS
-from repro.runtime.machine import Machine, MachineParams
+from repro.errors import ReconfigurationError
 
 pytestmark = pytest.mark.mlck
-
-
-@pytest.fixture
-def env():
-    machine = Machine(MachineParams(num_nodes=8))
-    pfs = PIOFS(machine=machine)
-    store = L1Store(machine, k=1)
-    return machine, pfs, store
-
-
-def _drop_first_piece(machine, store, prefix):
-    gen = store.gen(prefix)
-    pieces = gen.segment_pieces or gen.task_pieces[0]
-    for node in list(pieces[0].replicas):
-        machine.fail_node(node)
-        store.drop_node(node)
-
-
-def test_drms_memory_tier_never_touches_pfs(env, workload):
-    machine, pfs, store = env
-    seg, arrays = workload(iteration=2)
-    bd = drms_checkpoint(pfs, "ck.000001", seg, arrays, tier="memory", l1=store)
-    assert bd.kind == "mlck-l1"
-    assert not pfs.exists("ck.000001.manifest")
-
-    state, rbd = drms_restart(pfs, "ck.000001", 3, tier="memory", l1=store)
-    assert rbd.kind == "mlck-l1"
-    assert state.segment.serialize() == seg.serialize()
-
-
-def test_drms_memory_tier_forbids_pfs_fallback(env, workload):
-    machine, pfs, store = env
-    seg, arrays = workload()
-    drms_checkpoint(pfs, "ck.000001", seg, arrays, tier="memory", l1=store)
-    _drop_first_piece(machine, store, "ck.000001")
-    with pytest.raises(MemoryTierError):
-        drms_restart(pfs, "ck.000001", 2, tier="memory", l1=store)
-
-
-def test_drms_memory_pfs_tier_drains_and_falls_back(env, workload):
-    machine, pfs, store = env
-    seg, arrays = workload(iteration=3)
-    refs = {a.name: a.to_global(fill=0) for a in arrays}
-    drms_checkpoint(pfs, "ck.000001", seg, arrays, tier="memory+pfs", l1=store)
-    # the inline synchronous drain put a durable copy on the PFS
-    assert pfs.exists("ck.000001.manifest")
-    _drop_first_piece(machine, store, "ck.000001")
-    state, rbd = drms_restart(pfs, "ck.000001", 2, tier="memory+pfs", l1=store)
-    assert rbd.kind == "drms"  # served by the L2 fallback
-    for name, a in state.arrays.items():
-        np.testing.assert_array_equal(a.to_global(fill=0), refs[name])
-
-
-def test_tier_knob_rejects_unknown_values(env, workload):
-    machine, pfs, store = env
-    seg, arrays = workload()
-    with pytest.raises(CheckpointError, match="unknown checkpoint tier"):
-        drms_checkpoint(pfs, "ck.000001", seg, arrays, tier="l3", l1=store)
-    with pytest.raises(CheckpointError, match="requires an L1Store"):
-        drms_checkpoint(pfs, "ck.000001", seg, arrays, tier="memory")
-    with pytest.raises(RestartError, match="unknown restart tier"):
-        drms_restart(pfs, "ck.000001", 2, tier="l3", l1=store)
-    with pytest.raises(RestartError, match="requires an L1Store"):
-        drms_restart(pfs, "ck.000001", 2, tier="memory+pfs")
-
-
-def test_spmd_tier_knobs_roundtrip(env):
-    machine, pfs, store = env
-    payloads = [{"rank": t} for t in range(2)]
-    spmd_checkpoint(
-        pfs, "ck.000001", 2, 1024,
-        payloads=payloads, tier="memory+pfs", l1=store,
-    )
-    assert pfs.exists("ck.000001.manifest")
-    state, rbd = spmd_restart(pfs, "ck.000001", 2, tier="memory", l1=store)
-    assert rbd.kind == "mlck-l1"
-    assert state.payloads == payloads
-    # after replica loss the memory+pfs knob serves the drained copy
-    _drop_first_piece(machine, store, "ck.000001")
-    state, rbd = spmd_restart(pfs, "ck.000001", 2, tier="memory+pfs", l1=store)
-    assert rbd.kind == "spmd"
-    assert state.payloads == payloads
-
-
-def test_spmd_tier_knob_rejects_unknown_values(env):
-    machine, pfs, store = env
-    with pytest.raises(CheckpointError, match="unknown checkpoint tier"):
-        spmd_checkpoint(pfs, "ck.000001", 2, 1024, tier="l3", l1=store)
-    with pytest.raises(RestartError, match="requires an L1Store"):
-        spmd_restart(pfs, "ck.000001", 2, tier="memory")
 
 
 def test_application_rejects_unknown_tier():
